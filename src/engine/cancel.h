@@ -3,18 +3,19 @@
  * Cooperative cancellation for in-flight scoring work.
  *
  * A CancelSource is owned by whoever can give up on a request — the
- * HTTP handler (client deadline, watchdog trip) or the drain state
- * machine (process shutdown). The CancelToken it hands out is a
- * cheap shared view that the engine threads poll at stage
- * boundaries: at dequeue (purge without burning a worker), between
- * pipeline stages, and before the result is cached.
+ * HTTP handler (the line's deadline, or a worker still wedged past it)
+ * or the drain state machine (process shutdown). The CancelToken it
+ * hands out is a cheap shared view that the engine threads poll at
+ * stage boundaries: at dequeue (purge without burning a worker),
+ * between pipeline stages, and before the result is cached. The token
+ * is the only deadline the engine enforces.
  *
  * Two ways for a token to fire:
  *   - an explicit cancel() on its source (or on any *parent* source
  *     it is chained to — the drain source is the parent of every
  *     per-request source, so one cancel() sweeps all in-flight work);
- *   - its deadline expiring: setDeadline(budget_millis) starts a
- *     monotonic clock, and expired() flips once the budget is spent.
+ *   - its deadline passing: setDeadline() arms one absolute
+ *     steady-clock deadline, and the token fires once it is behind us.
  *
  * A default-constructed token is null: never cancelled, infinite
  * budget. That keeps call sites unconditional — batch paths and
@@ -24,6 +25,7 @@
 #ifndef HIERMEANS_ENGINE_CANCEL_H
 #define HIERMEANS_ENGINE_CANCEL_H
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -37,37 +39,29 @@ namespace detail {
 
 struct CancelState
 {
+    using Clock = std::chrono::steady_clock;
+
     std::atomic<bool> cancelled{false};
-    /** 0 = no deadline armed. */
-    double budgetMillis = 0.0;
-    std::chrono::steady_clock::time_point armed;
+    /** Clock::time_point::max() = no deadline armed. */
+    Clock::time_point deadline = Clock::time_point::max();
     std::shared_ptr<const CancelState> parent;
 
     bool fired() const
     {
         if (cancelled.load(std::memory_order_acquire))
             return true;
-        if (budgetMillis > 0.0) {
-            const auto elapsed =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - armed)
-                    .count();
-            if (elapsed > budgetMillis)
-                return true;
-        }
+        if (deadline != Clock::time_point::max() && Clock::now() > deadline)
+            return true;
         return parent && parent->fired();
     }
 
     double remaining() const
     {
         double left = std::numeric_limits<double>::infinity();
-        if (budgetMillis > 0.0) {
-            const auto elapsed =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - armed)
-                    .count();
-            left = budgetMillis - elapsed;
-        }
+        if (deadline != Clock::time_point::max())
+            left = std::chrono::duration<double, std::milli>(
+                       deadline - Clock::now())
+                       .count();
         if (parent) {
             const double up = parent->remaining();
             if (up < left)
@@ -127,12 +121,30 @@ class CancelSource
     /** Fire the token (idempotent, thread-safe). */
     void cancel() { state_->cancelled.store(true, std::memory_order_release); }
 
-    /** Arm a deadline @p budget_millis from now; <= 0 disarms. Call
-     *  before sharing the token — arming is not synchronized. */
-    void setDeadline(double budget_millis)
+    /**
+     * Arm a deadline @p budget_millis after @p from (default: now);
+     * <= 0 disarms. Budgets are capped at a year, which keeps the
+     * time arithmetic in range and is "no deadline" in practice. Call
+     * before sharing the token — arming is not synchronized.
+     */
+    void setDeadline(double budget_millis,
+                     std::chrono::steady_clock::time_point from =
+                         std::chrono::steady_clock::now())
     {
-        state_->budgetMillis = budget_millis > 0.0 ? budget_millis : 0.0;
-        state_->armed = std::chrono::steady_clock::now();
+        constexpr double kMaxBudgetMillis = 365.0 * 24 * 3600 * 1000;
+        state_->deadline =
+            budget_millis > 0.0
+                ? from + std::chrono::duration_cast<
+                             std::chrono::steady_clock::duration>(
+                             std::chrono::duration<double, std::milli>(
+                                 std::min(budget_millis, kMaxBudgetMillis)))
+                : std::chrono::steady_clock::time_point::max();
+    }
+
+    /** The armed deadline; time_point::max() when none is armed. */
+    std::chrono::steady_clock::time_point deadline() const
+    {
+        return state_->deadline;
     }
 
     bool cancelled() const { return state_->fired(); }

@@ -149,8 +149,6 @@ ScoringEngine::execute(std::uint64_t fingerprint,
     // thread-local context, parented under engine.execute.
     obs::ScopedTraceContext traceContext(trace, executeSpan);
 
-    const double queue_wait = millisSince(enqueued);
-    const bool has_deadline = request->timeoutMillis > 0.0;
     const auto started = std::chrono::steady_clock::now();
 
     // Thrown at a stage boundary when the request's CancelToken fired
@@ -161,7 +159,8 @@ ScoringEngine::execute(std::uint64_t fingerprint,
         if (request->cancel.remainingMillis() <= 0.0) {
             metrics_.onTimeout();
             result.timedOut = true;
-            result.error = std::string("deadline expired ") + where;
+            result.error =
+                std::string("timed out ") + where + " (deadline expired)";
         } else {
             metrics_.onCancelled();
             result.cancelled = true;
@@ -169,17 +168,9 @@ ScoringEngine::execute(std::uint64_t fingerprint,
         }
     };
 
-    if (has_deadline && queue_wait > request->timeoutMillis) {
-        // Expired while queued: don't burn a worker on a dead request.
-        metrics_.onTimeout();
-        result.timedOut = true;
-        result.error = "timed out after " + std::to_string(queue_wait) +
-                       " ms waiting in queue (timeout " +
-                       std::to_string(request->timeoutMillis) + " ms)";
-        if (trace != nullptr)
-            trace->end(trace->begin("engine.purge", executeSpan));
-    } else if (request->cancel.cancelled()) {
-        // Purged from the queue: the caller gave up while we waited.
+    if (request->cancel.cancelled()) {
+        // Purged from the queue: the deadline lapsed or the caller
+        // gave up while we waited — don't burn a worker on it.
         classifyCancel("while queued");
         if (trace != nullptr)
             trace->end(trace->begin("engine.purge", executeSpan));
@@ -188,8 +179,8 @@ ScoringEngine::execute(std::uint64_t fingerprint,
         try {
             // Chaos hooks: a stuck worker (`engine.stall`, parameter =
             // milliseconds) and a task that dies mid-pipeline
-            // (`engine.task`). The stall is what the server-side
-            // watchdog exists to catch.
+            // (`engine.task`). The stall is what the server's await
+            // deadline exists to catch.
             double stall_millis = 0.0;
             if (HM_FAULT_PARAM("engine.stall", stall_millis) &&
                 stall_millis > 0.0) {
@@ -245,8 +236,7 @@ ScoringEngine::execute(std::uint64_t fingerprint,
         result.wallMillis = millisSince(started);
         metrics_.recordPipeline(result.wallMillis);
 
-        const double total = millisSince(enqueued);
-        if (result.ok && has_deadline && total > request->timeoutMillis) {
+        if (result.ok && request->cancel.remainingMillis() <= 0.0) {
             // Cooperative deadline: the pipeline cannot be interrupted
             // mid-SOM, so overruns are detected after the fact.
             metrics_.onTimeout();
@@ -255,10 +245,9 @@ ScoringEngine::execute(std::uint64_t fingerprint,
             result.report = scoring::ScoreReport{};
             result.analysis.reset();
             result.recommendedK = 0;
-            result.error = "timed out after " + std::to_string(total) +
-                           " ms (timeout " +
-                           std::to_string(request->timeoutMillis) +
-                           " ms)";
+            result.error = "timed out after " +
+                           std::to_string(millisSince(enqueued)) +
+                           " ms (deadline expired)";
         }
     }
 

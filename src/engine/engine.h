@@ -17,9 +17,10 @@
  * Failures are isolated per request: a malformed input or a pipeline
  * exception resolves that request's future with ok=false and the error
  * text — it never throws across the pool or poisons the batch. The
- * per-request timeout is cooperative: it is enforced when the request
- * leaves the queue (expired requests are not executed) and re-checked
- * after execution.
+ * only deadline the engine enforces is the request's CancelToken, and
+ * cooperatively: a request whose token fired while queued is not
+ * executed, the token is polled between pipeline stages, and a
+ * deadline that passed during execution is re-checked afterwards.
  *
  * Determinism: the RNG seed travels inside the request (ScoreRequest::
  * seed overrides config.som.seed), every stochastic pipeline stage
@@ -80,14 +81,18 @@ struct ScoreRequest
      */
     std::uint64_t seed = 0x5eed;
 
-    /** Cooperative deadline in milliseconds; 0 disables. */
+    /**
+     * The manifest line's `timeout-ms=` as parsed (0 = not stated).
+     * Manifest data only: the engine never reads it. Callers fold it
+     * into the deadline they arm on `cancel`.
+     */
     double timeoutMillis = 0.0;
 
     /**
-     * Cooperative cancellation: polled at dequeue (an entry whose
-     * token fired is purged from the queue instead of executed) and
-     * between pipeline stages. A null token never cancels. Like
-     * trace/id this is never fingerprinted.
+     * Cooperative cancellation and the request's one deadline: polled
+     * at dequeue (an entry whose token fired is purged from the queue
+     * instead of executed) and between pipeline stages. A null token
+     * never cancels. Like trace/id this is never fingerprinted.
      */
     CancelToken cancel;
 

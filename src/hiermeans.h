@@ -141,7 +141,6 @@
 #include "src/server/server_metrics.h"
 #include "src/server/suite_service.h"
 #include "src/server/transport.h"
-#include "src/server/watchdog.h"
 #include "src/server/wire_json.h"
 
 // mesh — multi-node cluster: ring sharding + WAL replication

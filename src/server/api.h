@@ -43,7 +43,7 @@ enum class ApiError
     HeadersTooLarge,  ///< 431 from the request parser.
     InvalidManifest,  ///< manifest parsed but failed validation.
     Timeout,          ///< engine deadline exceeded (504).
-    WatchdogTimeout,  ///< watchdog answered for a stuck worker (504).
+    WatchdogTimeout,  ///< handler answered for a wedged worker (504).
     Overloaded,       ///< admission gate shed the request (503).
     CircuitOpen,      ///< breaker fast-failed the endpoint (503).
     Draining,         ///< graceful shutdown in progress (503).

@@ -4,17 +4,19 @@
  * and the daemon's health state machine.
  *
  * The breaker guards the expensive scoring path: consecutive hard
- * failures (engine exceptions, 504s, watchdog trips) open the circuit
- * and the endpoint fast-fails with `503 Retry-After` — no engine work,
- * no queueing — until the open window lapses. Then a half-open probe
- * is let through: success closes the circuit, failure re-opens it.
+ * failures (engine exceptions, 504s, abandoned wedged workers) open
+ * the circuit and the endpoint fast-fails with `503 Retry-After` — no
+ * engine work, no queueing — until the open window lapses. Then a
+ * half-open probe is let through: success closes the circuit, failure
+ * re-opens it.
  *
  * The health state machine (`ok -> degraded -> draining`) is what
  * `/healthz` reports and what degraded-mode serving keys off:
  *  - `degraded` — the admission gate is shedding a high fraction of
- *    recent requests, the watchdog sees stuck workers, or a breaker is
- *    open. The server prefers serving *stale* cached scores (marked
- *    `X-Hiermeans-Stale`) over queueing into a saturated engine.
+ *    recent requests, a request is stuck on a wedged worker, or a
+ *    breaker is open. The server prefers serving *stale* cached scores
+ *    (marked `X-Hiermeans-Stale`) over queueing into a saturated
+ *    engine.
  *  - `draining` — graceful shutdown has begun; probes get 503 so load
  *    balancers stop routing here while in-flight requests finish.
  * Transitions are hysteretic (enter degraded at a high shed ratio,
@@ -153,8 +155,9 @@ class HealthMonitor
     /** One scoring request shed because the gate was full. */
     void onShed();
 
-    /** Watchdog feed: how many workers are currently overdue. Any
-     *  non-zero count forces Degraded while it lasts. */
+    /** Stuck-worker feed: how many requests are past their deadline
+     *  (plus grace) and not yet answered. Any non-zero count forces
+     *  Degraded while it lasts. */
     void onStuckWorkers(std::size_t stuck);
 
     /** Latch Draining (graceful shutdown has begun). One-way. */

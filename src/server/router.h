@@ -42,8 +42,8 @@ struct RequestContext
     std::string traceId;
 
     /** Live trace to record spans into (nullptr when not tracing).
-     *  Shared so the engine can keep it alive past an abandoned
-     *  (watchdog-tripped) request. */
+     *  Shared so the engine can keep it alive past a request whose
+     *  handler gave up on a wedged worker. */
     std::shared_ptr<obs::Trace> trace;
 
     /** The server.request root span — parent for handler spans. */

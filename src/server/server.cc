@@ -86,23 +86,32 @@ scoredResponse(const engine::ScoreResult &result,
     return response;
 }
 
-/** A failed score result as an error envelope (one score or one
- *  batch line; @p extra is spliced into the error object). */
+/** The error code of a failed line; @p invalid = it failed to build. */
+ApiError
+resultError(const engine::ScoreResult &result, bool invalid)
+{
+    if (invalid)
+        return ApiError::InvalidManifest;
+    if (result.timedOut)
+        return ApiError::Timeout;
+    // Cancelled without an expired deadline: the server gave up
+    // (drain), not the work — retryable elsewhere.
+    if (result.cancelled)
+        return ApiError::Draining;
+    return ApiError::ScoringFailed;
+}
+
+/** A failed line as an error envelope (one score or one batch line;
+ *  @p extra is spliced into the error object). */
 std::string
-resultErrorEnvelope(const engine::ScoreResult &result,
+resultErrorEnvelope(const engine::ScoreResult &result, bool invalid,
                     const std::string &traceId, std::string extra = "")
 {
-    ApiError code = ApiError::ScoringFailed;
-    if (result.timedOut) {
-        code = ApiError::Timeout;
+    if (result.timedOut)
         extra = extra.empty() ? "\"timed_out\":true"
                               : extra + ",\"timed_out\":true";
-    } else if (result.cancelled) {
-        // Cancelled without an expired deadline: the server gave up
-        // (drain), not the work — retryable elsewhere.
-        code = ApiError::Draining;
-    }
-    return errorEnvelope(code, result.error, traceId, extra);
+    return errorEnvelope(resultError(result, invalid), result.error,
+                         traceId, extra);
 }
 
 /** One span as JSON for the /v1/trace payload. */
@@ -139,6 +148,10 @@ idListJson(const std::vector<std::string> &ids)
     return out;
 }
 
+/** How long past a line's deadline the handler waits for a wedged
+ *  worker, so the engine's cooperative timeout can answer first. */
+constexpr std::chrono::milliseconds kAwaitGrace{250};
+
 HttpTransport::Config
 transportConfig(const Server::Config &config)
 {
@@ -155,7 +168,7 @@ Server::Server(Config config)
     : config_(config), engine_(config.engine),
       gate_(config.queueDepth, config.bulkQueueDepth),
       breaker_(config.breaker),
-      health_(config.health), watchdog_(config.watchdog),
+      health_(config.health),
       suites_(metrics_),
       transport_(transportConfig(config), router_, metrics_),
       requestDefaults_(util::CommandLine::parse({"hmserved"}))
@@ -348,65 +361,7 @@ Server::overloadedResponse(const std::string &traceId)
 }
 
 std::optional<HttpResponse>
-Server::tryStale(std::uint64_t fingerprint, const std::string &id,
-                 const RequestContext &ctx)
-{
-    if (!config_.serveStale)
-        return std::nullopt;
-    std::optional<engine::CachedResult> cached =
-        engine_.cache().get(fingerprint);
-    if (!cached.has_value())
-        return std::nullopt;
-
-    engine::ScoreResult result;
-    result.id = id;
-    result.ok = true;
-    result.cacheHit = true;
-    result.fingerprint = fingerprint;
-    result.report = std::move(cached->report);
-    result.analysis = std::move(cached->analysis);
-    result.recommendedK = cached->recommendedK;
-
-    metrics_.onStaleServed();
-    HttpResponse response = scoredResponse(result, ctx);
-    response.set("X-Hiermeans-Stale", "1");
-    return response;
-}
-
-std::optional<HttpResponse>
-Server::awaitWithWatchdog(std::future<engine::ScoreResult> &future,
-                          const Watchdog::Token &token,
-                          engine::CancelSource *cancel,
-                          engine::ScoreResult &result,
-                          const std::string &traceId)
-{
-    constexpr auto kSlice = std::chrono::milliseconds(20);
-    for (;;) {
-        if (future.wait_for(kSlice) == std::future_status::ready) {
-            result = future.get();
-            return std::nullopt;
-        }
-        if (token.expired()) {
-            // Abandon the future: the engine task will resolve into a
-            // dead promise; only this connection is rescued. Cancel
-            // the request's token too so a still-queued entry is
-            // purged instead of executed into the dead promise.
-            if (cancel != nullptr)
-                cancel->cancel();
-            metrics_.onWatchdogTrip();
-            metrics_.onTimeout();
-            breaker_.onFailure();
-            health_.onStuckWorkers(watchdog_.overdue());
-            return errorResponse(
-                ApiError::WatchdogTimeout,
-                "watchdog: request exceeded its budget", traceId,
-                "\"timed_out\":true");
-        }
-    }
-}
-
-HttpResponse
-Server::handleScore(const RequestContext &ctx)
+Server::shedBeforeAdmission(const RequestContext &ctx)
 {
     // Draining: shed before any work so cluster clients fail over to
     // a peer immediately instead of racing the shutdown.
@@ -429,200 +384,257 @@ Server::handleScore(const RequestContext &ctx)
                              "client deadline spent before admission",
                              ctx.traceId, "\"timed_out\":true");
     }
+    return std::nullopt;
+}
+
+HttpResponse
+Server::staleOr(const engine::ScoreRequest &request,
+                const RequestContext &ctx, HttpResponse fallback)
+{
+    if (!config_.serveStale)
+        return fallback;
+    // Only the degraded paths read the cache before submit, so only
+    // they hash the request here; submit() hashes the admitted one.
+    const std::uint64_t fingerprint = engine::fingerprintRequest(request);
+    std::optional<engine::CachedResult> cached =
+        engine_.cache().get(fingerprint);
+    if (!cached.has_value())
+        return fallback;
+
+    engine::ScoreResult result;
+    result.id = request.id;
+    result.ok = true;
+    result.cacheHit = true;
+    result.fingerprint = fingerprint;
+    result.report = std::move(cached->report);
+    result.analysis = std::move(cached->analysis);
+    result.recommendedK = cached->recommendedK;
+
+    metrics_.onStaleServed();
+    HttpResponse response = scoredResponse(result, ctx);
+    response.set("X-Hiermeans-Stale", "1");
+    return response;
+}
+
+Server::Parsed
+Server::parseBody(const RequestContext &ctx,
+                  std::string (*decode)(const std::string &))
+{
+    Parsed parsed;
+    parsed.response = shedBeforeAdmission(ctx);
+    if (parsed.response.has_value())
+        return parsed;
 
     // Decode the body to manifest text before expansion: from here
     // on the pipeline is codec-agnostic.
     std::string text = ctx.http.body;
     if (ctx.binaryBody) {
         try {
-            text = wire::decodeScoreRequest(ctx.http.body);
+            text = decode(ctx.http.body);
         } catch (const Error &e) {
             metrics_.onMalformed();
-            return errorResponse(ApiError::BadRequest, e.what(),
-                                 ctx.traceId);
+            parsed.response =
+                errorResponse(ApiError::BadRequest, e.what(), ctx.traceId);
+            return parsed;
         }
     }
-    SuiteService::Expansion expanded = suites_.expandScore(ctx, text);
-    if (expanded.response.has_value())
-        return std::move(*expanded.response);
+    SuiteService::Expansion expanded = suites_.expand(ctx, text);
+    if (expanded.response.has_value()) {
+        parsed.response = std::move(expanded.response);
+        return parsed;
+    }
+    parsed.suite = std::move(expanded.suite);
+    parsed.suiteVersion = expanded.suiteVersion;
 
-    engine::ScoreRequest score_request;
-    {
-        obs::ScopedSpan span("parse.manifest");
-        std::vector<engine::ManifestLine> lines;
+    obs::ScopedSpan span("parse.manifest");
+    std::vector<engine::ManifestLine> lines;
+    try {
+        lines = engine::parseManifest(expanded.text);
+    } catch (const Error &e) {
+        metrics_.onMalformed();
+        parsed.response =
+            errorResponse(ApiError::BadRequest, e.what(), ctx.traceId);
+        return parsed;
+    }
+    // Build every line up front so a bad line fails alone without
+    // touching the engine, mirroring hmbatch.
+    for (const engine::ManifestLine &manifest_line : lines) {
+        Line &line = parsed.lines.emplace_back();
+        line.number = manifest_line.lineNumber;
         try {
-            lines = engine::parseManifest(expanded.text);
+            line.request = engine::buildManifestRequest(
+                manifest_line, requestDefaults_, csvs_);
         } catch (const Error &e) {
-            metrics_.onMalformed();
-            return errorResponse(ApiError::BadRequest, e.what(),
-                                 ctx.traceId);
-        }
-        if (lines.size() != 1) {
-            metrics_.onMalformed();
-            return errorResponse(
-                ApiError::BadRequest,
-                "expected exactly one manifest line, got " +
-                    std::to_string(lines.size()),
-                ctx.traceId);
-        }
-        try {
-            score_request = engine::buildManifestRequest(
-                lines.front(), requestDefaults_, csvs_);
-        } catch (const Error &e) {
-            metrics_.onMalformed();
-            return errorResponse(ApiError::InvalidManifest, e.what(),
-                                 ctx.traceId);
+            line.invalid = true;
+            line.result.error = e.what();
         }
     }
-    if (score_request.timeoutMillis <= 0.0)
-        score_request.timeoutMillis = config_.defaultTimeoutMillis;
-    // The remaining client budget caps the engine deadline: any work
-    // past it is wasted even when the server-side timeout is looser.
-    const double budget = ctx.hasDeadline()
-                              ? ctx.remainingMillis()
-                              : config_.defaultDeadlineMillis;
-    if (budget > 0.0 && (score_request.timeoutMillis <= 0.0 ||
-                         budget < score_request.timeoutMillis))
-        score_request.timeoutMillis = budget;
+    return parsed;
+}
 
-    // The fingerprint is known before admission so the degraded paths
-    // below (breaker open, gate full) can consult the result cache.
-    const std::uint64_t fingerprint =
-        engine::fingerprintRequest(score_request);
-
+bool
+Server::scoreLines(const RequestContext &ctx, Parsed &parsed, Lane lane)
+{
     obs::ScopedSpan admissionSpan("admission");
-    if (!breaker_.allow()) {
-        metrics_.onBreakerFastFail();
-        if (std::optional<HttpResponse> stale =
-                tryStale(fingerprint, score_request.id, ctx))
-            return std::move(*stale);
-        HttpResponse response =
-            errorResponse(ApiError::CircuitOpen,
-                          "circuit open on /v1/score", ctx.traceId);
-        response.set("Retry-After",
-                     std::to_string(std::max(
-                         1L, breaker_.retryAfterSeconds())));
-        return response;
-    }
-
-    AdmissionTicket ticket(gate_, Lane::Interactive);
+    AdmissionTicket ticket(gate_, lane);
     if (!ticket.admitted()) {
         metrics_.onShed();
-        metrics_.onLaneShed(Lane::Interactive);
+        metrics_.onLaneShed(lane);
         health_.onShed();
-        breaker_.onAbandoned(); // a shed is not a probe outcome.
-        if (std::optional<HttpResponse> stale =
-                tryStale(fingerprint, score_request.id, ctx))
-            return std::move(*stale);
-        return overloadedResponse(ctx.traceId);
+        return false;
     }
     health_.onAdmitted();
     admissionSpan.close();
 
-    const Watchdog::Token token =
-        watchdog_.watch(score_request.timeoutMillis);
-    // Per-request cancellation, chained to the drain source: the
-    // engine purges this entry from its queue (and stops at the next
-    // stage boundary) when the deadline fires, the watchdog trips or
-    // the process drains.
-    engine::CancelSource cancelSource(drainSource_.token());
-    if (score_request.timeoutMillis > 0.0)
-        cancelSource.setDeadline(score_request.timeoutMillis);
-    score_request.cancel = cancelSource.token();
-    if (ctx.trace) {
-        // Hand the live trace to the engine: the submit-side spans
-        // (cache.lookup, engine.queue) and the worker-side spans
-        // (engine.execute, pipeline.*) parent under our root.
-        score_request.trace = ctx.trace;
-        score_request.traceParent = ctx.rootSpan;
+    // Submit every line before waiting on any, so a batch's lines
+    // share the engine pool.
+    for (Line &line : parsed.lines) {
+        if (line.invalid)
+            continue;
+        // One absolute deadline per line: the earlier of its
+        // timeout-ms= and the client's X-Hiermeans-Deadline, both
+        // counted from arrival, or the server default when neither is
+        // stated. The token is chained to the drain source, so drain
+        // cancels it too; the engine enforces nothing else.
+        double budget = line.request.timeoutMillis;
+        if (ctx.hasDeadline() &&
+            (budget <= 0.0 || ctx.deadlineMillis < budget))
+            budget = ctx.deadlineMillis;
+        line.cancel = engine::CancelSource(drainSource_.token());
+        line.cancel.setDeadline(
+            budget > 0.0 ? budget : config_.defaultDeadlineMillis,
+            ctx.arrived);
+        line.request.cancel = line.cancel.token();
+        if (ctx.trace) {
+            // Hand the live trace to the engine: the submit-side spans
+            // (cache.lookup, engine.queue) and the worker-side spans
+            // (engine.execute, pipeline.*) parent under our root.
+            line.request.trace = ctx.trace;
+            line.request.traceParent = ctx.rootSpan;
+        }
+        line.future = engine_.submit(std::move(line.request));
     }
-    std::future<engine::ScoreResult> future =
-        engine_.submit(std::move(score_request));
 
     obs::ScopedSpan awaitSpan("server.await");
-    engine::ScoreResult result;
-    if (std::optional<HttpResponse> tripped = awaitWithWatchdog(
-            future, token, &cancelSource, result, ctx.traceId))
-        return std::move(*tripped);
+    std::size_t trips = 0;
+    for (Line &line : parsed.lines) {
+        if (line.invalid)
+            continue;
+        // One wait per line: only a worker wedged past deadline +
+        // grace (the pipeline is not interruptible) is abandoned here.
+        const auto deadline = line.cancel.deadline();
+        if (deadline == std::chrono::steady_clock::time_point::max() ||
+            line.future.wait_until(deadline + kAwaitGrace) ==
+                std::future_status::ready) {
+            line.result = line.future.get();
+        } else {
+            // The engine task resolves into a dead promise; only this
+            // connection is rescued. Cancelling the token purges a
+            // still-queued entry instead of executing it.
+            line.cancel.cancel();
+            line.tripped = true;
+            line.result.timedOut = true;
+            line.result.error = "watchdog: batch exceeded its budget";
+            metrics_.onWatchdogTrip();
+            health_.onStuckWorkers(overdue_.fetch_add(1) + 1);
+            ++trips;
+        }
+        const engine::ScoreResult &result = line.result;
+        if (result.timedOut)
+            metrics_.onTimeout();
+        if (result.cancelled)
+            metrics_.onCancelled();
+        if (result.ok) {
+            suites_.persistScore(result, parsed.suite, parsed.suiteVersion,
+                                 ctx.hasDeadline() ? ctx.remainingMillis()
+                                                   : 0.0);
+            if (ctx.remainingMillis() < 0.0) // +inf without a deadline.
+                metrics_.onDeadlineMiss();
+        }
+    }
+    if (trips > 0) // answered from here on: no longer stuck.
+        health_.onStuckWorkers(overdue_.fetch_sub(trips) - trips);
+    return true;
+}
 
-    if (!result.ok && result.cancelled) {
-        // Cancelled by the drain state machine, not by load: answer
-        // the draining code so the client fails over, and release any
-        // half-open breaker probe without counting an outcome.
-        metrics_.onCancelled();
-        breaker_.onAbandoned();
-        HttpResponse response = errorResponse(
-            ApiError::Draining, result.error, ctx.traceId);
-        response.set("Retry-After", "1");
-        return response;
+HttpResponse
+Server::handleScore(const RequestContext &ctx)
+{
+    Parsed parsed = parseBody(ctx, [](const std::string &body) {
+        return wire::decodeScoreRequest(body);
+    });
+    if (parsed.response.has_value())
+        return std::move(*parsed.response);
+    if (parsed.lines.size() != 1) {
+        metrics_.onMalformed();
+        const std::string count = std::to_string(parsed.lines.size());
+        return errorResponse(
+            ApiError::BadRequest,
+            parsed.suite.empty()
+                ? "expected exactly one manifest line, got " + count
+                : "suite `" + parsed.suite + "` has " + count +
+                      " lines; pick one with line=<n> or POST the "
+                      "suite to /v1/batch",
+            ctx.traceId);
     }
-    if (!result.ok && result.timedOut) {
-        metrics_.onTimeout();
+    Line &line = parsed.lines.front();
+    if (line.invalid) {
+        metrics_.onMalformed();
+        return errorResponse(ApiError::InvalidManifest, line.result.error,
+                             ctx.traceId);
+    }
+
+    if (!breaker_.allow()) {
+        metrics_.onBreakerFastFail();
+        HttpResponse open = errorResponse(
+            ApiError::CircuitOpen, "circuit open on /v1/score", ctx.traceId);
+        open.set("Retry-After", std::to_string(std::max(
+                                    1L, breaker_.retryAfterSeconds())));
+        return staleOr(line.request, ctx, std::move(open));
+    }
+    if (!scoreLines(ctx, parsed, Lane::Interactive)) {
+        breaker_.onAbandoned(); // a shed is not a probe outcome.
+        return staleOr(line.request, ctx, overloadedResponse(ctx.traceId));
+    }
+
+    const engine::ScoreResult &result = line.result;
+    if (result.ok) {
+        breaker_.onSuccess();
+        return scoredResponse(result, ctx);
+    }
+    HttpResponse response =
+        line.tripped
+            ? errorResponse(ApiError::WatchdogTimeout,
+                            "watchdog: request exceeded its budget",
+                            ctx.traceId, "\"timed_out\":true")
+            : jsonResponse(apiErrorStatus(resultError(result, false)),
+                           resultErrorEnvelope(result, false, ctx.traceId) +
+                               "\n");
+    if (result.timedOut) {
         breaker_.onFailure();
-        return jsonResponse(
-            504, resultErrorEnvelope(result, ctx.traceId) + "\n");
-    }
-    if (!result.ok) {
+    } else if (result.cancelled) {
+        // Cancelled by the drain state machine, not by load: the
+        // client fails over, and a half-open breaker probe is released
+        // without counting an outcome.
+        breaker_.onAbandoned();
+        response.set("Retry-After", "1");
+    } else {
         // A 4xx is the caller's fault, not the server's: the scoring
         // path is healthy, so it closes a half-open probe as success.
         breaker_.onSuccess();
-        return jsonResponse(
-            apiErrorStatus(ApiError::ScoringFailed),
-            resultErrorEnvelope(result, ctx.traceId) + "\n");
     }
-
-    breaker_.onSuccess();
-    suites_.persistScore(result, expanded.suite, expanded.suiteVersion,
-                         ctx.hasDeadline() ? ctx.remainingMillis()
-                                           : 0.0);
-    if (ctx.hasDeadline() && ctx.remainingMillis() < 0.0)
-        metrics_.onDeadlineMiss();
-    return scoredResponse(result, ctx);
+    return response;
 }
 
 HttpResponse
 Server::handleBatch(const RequestContext &ctx)
 {
-    if (draining_.load()) {
-        metrics_.onDrainShed();
-        HttpResponse response =
-            errorResponse(ApiError::Draining,
-                          "server draining, try another node",
-                          ctx.traceId);
-        response.set("Retry-After", "1");
-        return response;
-    }
-    if (ctx.hasDeadline() && ctx.remainingMillis() <= 0.0) {
-        metrics_.onDeadlineExpired();
-        return errorResponse(ApiError::DeadlineExpired,
-                             "client deadline spent before admission",
-                             ctx.traceId, "\"timed_out\":true");
-    }
-
-    std::string text = ctx.http.body;
-    if (ctx.binaryBody) {
-        try {
-            text = wire::BatchView(ctx.http.body).manifestText();
-        } catch (const Error &e) {
-            metrics_.onMalformed();
-            return errorResponse(ApiError::BadRequest, e.what(),
-                                 ctx.traceId);
-        }
-    }
-    SuiteService::Expansion expanded = suites_.expandBatch(ctx, text);
-    if (expanded.response.has_value())
-        return std::move(*expanded.response);
-
-    std::vector<engine::ManifestLine> lines;
-    try {
-        obs::ScopedSpan span("parse.manifest");
-        lines = engine::parseManifest(expanded.text);
-    } catch (const Error &e) {
-        metrics_.onMalformed();
-        return errorResponse(ApiError::BadRequest, e.what(),
-                             ctx.traceId);
-    }
-    if (lines.empty()) {
+    Parsed parsed = parseBody(ctx, [](const std::string &body) {
+        return wire::BatchView(body).manifestText();
+    });
+    if (parsed.response.has_value())
+        return std::move(*parsed.response);
+    if (parsed.lines.empty()) {
         metrics_.onMalformed();
         return errorResponse(ApiError::BadRequest,
                              "manifest has no requests", ctx.traceId);
@@ -632,120 +644,23 @@ Server::handleBatch(const RequestContext &ctx)
     // connection worker and its lines share the engine pool anyway.
     // Batch competes in the bulk lane, which is capped below the
     // gate's capacity so it can never starve /v1/score.
-    obs::ScopedSpan admissionSpan("admission");
-    AdmissionTicket ticket(gate_, Lane::Bulk);
-    if (!ticket.admitted()) {
-        metrics_.onShed();
-        metrics_.onLaneShed(Lane::Bulk);
-        health_.onShed();
+    if (!scoreLines(ctx, parsed, Lane::Bulk))
         return overloadedResponse(ctx.traceId);
-    }
-    health_.onAdmitted();
-    admissionSpan.close();
 
-    // Build everything up front so a bad line fails alone without
-    // touching the engine, mirroring hmbatch.
-    // One cancel source covers the document: drain (via the chained
-    // parent) or the document deadline purges every unfinished line.
-    engine::CancelSource batchCancel(drainSource_.token());
-    if (ctx.hasDeadline() && ctx.remainingMillis() > 0.0)
-        batchCancel.setDeadline(ctx.remainingMillis());
-
-    std::vector<std::optional<engine::ScoreRequest>> requests;
-    std::vector<engine::ScoreResult> line_errors(lines.size());
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        try {
-            engine::ScoreRequest built = engine::buildManifestRequest(
-                lines[i], requestDefaults_, csvs_);
-            if (built.timeoutMillis <= 0.0)
-                built.timeoutMillis = config_.defaultTimeoutMillis;
-            const double line_budget =
-                ctx.hasDeadline() ? ctx.remainingMillis()
-                                  : config_.defaultDeadlineMillis;
-            if (line_budget > 0.0 &&
-                (built.timeoutMillis <= 0.0 ||
-                 line_budget < built.timeoutMillis))
-                built.timeoutMillis = line_budget;
-            built.cancel = batchCancel.token();
-            if (ctx.trace) {
-                built.trace = ctx.trace;
-                built.traceParent = ctx.rootSpan;
-            }
-            requests.push_back(std::move(built));
-        } catch (const Error &e) {
-            requests.push_back(std::nullopt);
-            line_errors[i].id =
-                "line" + std::to_string(lines[i].lineNumber);
-            line_errors[i].error = e.what();
-        }
-    }
-
-    std::vector<std::optional<std::future<engine::ScoreResult>>> futures;
-    for (auto &built : requests) {
-        if (built)
-            futures.push_back(engine_.submit(std::move(*built)));
-        else
-            futures.push_back(std::nullopt);
-    }
-
-    // One watchdog budget covers the whole document; once it trips,
-    // every remaining line is abandoned as timed out (the futures
-    // resolve into dead promises).
-    const Watchdog::Token token = watchdog_.watch(0.0);
-    constexpr auto kSlice = std::chrono::milliseconds(20);
-
-    obs::ScopedSpan awaitSpan("server.await");
     std::ostringstream body;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        engine::ScoreResult result = line_errors[i];
-        bool parse_error = !futures[i].has_value();
-        if (futures[i]) {
-            bool tripped = false;
-            while (futures[i]->wait_for(kSlice) !=
-                   std::future_status::ready) {
-                if (token.expired()) {
-                    tripped = true;
-                    break;
-                }
-            }
-            if (tripped) {
-                metrics_.onWatchdogTrip();
-                health_.onStuckWorkers(watchdog_.overdue());
-                result = engine::ScoreResult{};
-                result.id = "line" + std::to_string(lines[i].lineNumber);
-                result.timedOut = true;
-                result.error = "watchdog: batch exceeded its budget";
-            } else {
-                result = futures[i]->get();
-            }
-        }
-        if (!result.ok && result.timedOut)
-            metrics_.onTimeout();
-        if (!result.ok && result.cancelled)
-            metrics_.onCancelled();
-
-        if (result.ok)
-            suites_.persistScore(result, expanded.suite,
-                                 expanded.suiteVersion);
-
+    for (const Line &line : parsed.lines) {
+        const engine::ScoreResult &result = line.result;
         if (ctx.wantsBinary()) {
             // Binary stream: one BatchItem frame per manifest line,
             // in line order (the NDJSON stream's binary twin).
             wire::BatchItem item;
-            item.line =
-                static_cast<std::uint32_t>(lines[i].lineNumber);
+            item.line = static_cast<std::uint32_t>(line.number);
             item.ok = result.ok;
             if (result.ok) {
                 item.doc = resultDocument(result);
             } else {
-                ApiError code = ApiError::ScoringFailed;
-                if (parse_error)
-                    code = ApiError::InvalidManifest;
-                else if (result.timedOut)
-                    code = ApiError::Timeout;
-                else if (result.cancelled)
-                    code = ApiError::Draining;
-                item.errorCode = apiErrorCode(code);
+                item.errorCode =
+                    apiErrorCode(resultError(result, line.invalid));
                 item.error = result.error;
                 item.timedOut = result.timedOut;
             }
@@ -754,20 +669,14 @@ Server::handleBatch(const RequestContext &ctx)
         }
 
         const std::string line_field =
-            "\"line\":" + std::to_string(lines[i].lineNumber);
-        if (result.ok) {
-            body << okEnvelope("{" + line_field + "," +
-                                   resultDataJson(result).substr(1),
-                               ctx.traceId);
-        } else if (parse_error) {
-            body << errorEnvelope(ApiError::InvalidManifest,
-                                  result.error, ctx.traceId,
-                                  line_field);
-        } else {
-            body << resultErrorEnvelope(result, ctx.traceId,
-                                        line_field);
-        }
-        body << "\n";
+            "\"line\":" + std::to_string(line.number);
+        body << (result.ok
+                     ? okEnvelope("{" + line_field + "," +
+                                      resultDataJson(result).substr(1),
+                                  ctx.traceId)
+                     : resultErrorEnvelope(result, line.invalid,
+                                           ctx.traceId, line_field))
+             << "\n";
     }
     HttpResponse response;
     response.status = 200;
@@ -792,7 +701,7 @@ Server::handleMetrics(const RequestContext &)
 HttpResponse
 Server::handleHealthz(const RequestContext &)
 {
-    health_.onStuckWorkers(watchdog_.overdue());
+    health_.onStuckWorkers(overdue_.load());
     const HealthState state = healthState();
     HttpResponse response = textResponse(
         state == HealthState::Draining ? 503 : 200,
@@ -976,21 +885,8 @@ Server::handleSuitePost(const RequestContext &ctx)
         return errorResponse(ApiError::NotFound,
                              "no such endpoint: " + ctx.http.path(),
                              ctx.traceId);
-    if (draining_.load()) {
-        metrics_.onDrainShed();
-        HttpResponse shed =
-            errorResponse(ApiError::Draining,
-                          "server draining, try another node",
-                          ctx.traceId);
-        shed.set("Retry-After", "1");
-        return shed;
-    }
-    if (ctx.hasDeadline() && ctx.remainingMillis() <= 0.0) {
-        metrics_.onDeadlineExpired();
-        return errorResponse(ApiError::DeadlineExpired,
-                             "client deadline spent before admission",
-                             ctx.traceId, "\"timed_out\":true");
-    }
+    if (std::optional<HttpResponse> shed = shedBeforeAdmission(ctx))
+        return std::move(*shed);
     // Observations are feed traffic: bulk lane, so a firehose of
     // observes can never crowd interactive scores out of the gate.
     AdmissionTicket ticket(gate_, Lane::Bulk);

@@ -56,11 +56,15 @@
  *     the result cache already holds this request's score, in which
  *     case the stale copy is served as `200` + `X-Hiermeans-Stale: 1`
  *     (degraded serving beats shedding);
- *   - per-request deadlines (`timeout-ms`) map onto the engine's
- *     cooperative timeouts and answer 504;
- *   - a Watchdog backstops wedged engine work: a worker whose request
- *     blows past its deadline answers `504` instead of hanging the
- *     connection;
+ *   - every manifest line gets one absolute deadline — the earlier of
+ *     its `timeout-ms=` and the client's `X-Hiermeans-Deadline`, or
+ *     Config::defaultDeadlineMillis when neither is stated — armed on
+ *     its CancelToken, the only deadline the engine enforces; a line
+ *     that runs out of it answers `504 timeout`;
+ *   - the handler waits once per line, until that deadline plus a
+ *     250 ms grace: a worker wedged past it is abandoned, its token
+ *     cancelled, and the line answered `504 watchdog_timeout` instead
+ *     of hanging the connection;
  *   - a CircuitBreaker in front of /v1/score fast-fails with
  *     `503 Retry-After` after consecutive hard failures (504s/500s),
  *     probing half-open once per open window;
@@ -83,6 +87,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/drift/monitor.h"
 #include "src/engine/engine.h"
@@ -95,7 +100,6 @@
 #include "src/server/server_metrics.h"
 #include "src/server/suite_service.h"
 #include "src/server/transport.h"
-#include "src/server/watchdog.h"
 #include "src/store/store.h"
 
 namespace hiermeans {
@@ -127,12 +131,10 @@ class Server
          *  every slot, so bulk can never starve it. */
         std::size_t bulkQueueDepth = 0;
 
-        /** Deadline for requests that carry no timeout-ms; 0 = none. */
-        double defaultTimeoutMillis = 0.0;
-
-        /** Deadline assumed for requests that carry no
-         *  X-Hiermeans-Deadline header; 0 = none. */
-        double defaultDeadlineMillis = 0.0;
+        /** Deadline for a line that states none: no `timeout-ms=`
+         *  and no X-Hiermeans-Deadline header; 0 = none, the handler
+         *  waits as long as the work takes. */
+        double defaultDeadlineMillis = 30000.0;
 
         /** How long stop() waits for admitted work to finish before
          *  cancelling it (the drain state machine's budget). */
@@ -145,7 +147,6 @@ class Server
         engine::ScoringEngine::Config engine;
         CircuitBreaker::Config breaker;
         HealthMonitor::Config health;
-        Watchdog::Config watchdog;
 
         /** Durable state store (WAL + snapshots). An empty
          *  `store.dataDir` leaves persistence off: /v1/suites,
@@ -235,7 +236,6 @@ class Server
     const ServerMetrics &metrics() const { return metrics_; }
     CircuitBreaker &breaker() { return breaker_; }
     HealthMonitor &health() { return health_; }
-    const Watchdog &watchdog() const { return watchdog_; }
 
     /** The /healthz state, breaker-aware (an open breaker on the
      *  scoring path degrades an otherwise-ok server). */
@@ -250,12 +250,61 @@ class Server
     std::string renderPrometheus() const;
 
   private:
+    /** One manifest line on the scoring path. */
+    struct Line
+    {
+        std::size_t number = 0; ///< line number in the manifest.
+        engine::ScoreRequest request;
+        /** Failed to build (invalid_manifest); result.error says why
+         *  and the line never reaches the engine. */
+        bool invalid = false;
+        /** The worker was still busy past deadline + grace: the
+         *  handler answered for it (watchdog_timeout). */
+        bool tripped = false;
+        engine::CancelSource cancel; ///< carries the line's deadline.
+        std::future<engine::ScoreResult> future;
+        engine::ScoreResult result;
+    };
+
+    /** A /v1/score or /v1/batch body, decoded, expanded and built. */
+    struct Parsed
+    {
+        /** Set when the request is answered already (a shed, a 4xx,
+         *  a relayed mesh answer); the rest is then meaningless. */
+        std::optional<HttpResponse> response;
+        std::string suite; ///< referenced suite ("" = ad hoc).
+        std::uint32_t suiteVersion = 0;
+        std::vector<Line> lines;
+    };
+
     HttpResponse handleScore(const RequestContext &ctx);
     HttpResponse handleBatch(const RequestContext &ctx);
     HttpResponse handleMetrics(const RequestContext &ctx);
     HttpResponse handleHealthz(const RequestContext &ctx);
     HttpResponse handleTrace(const RequestContext &ctx);
     HttpResponse handleTraces(const RequestContext &ctx);
+
+    /** The answer for a request shed before admission: the server is
+     *  draining, or the client's budget is already spent. nullopt
+     *  lets the request go on. */
+    std::optional<HttpResponse> shedBeforeAdmission(const RequestContext &ctx);
+
+    /**
+     * The front of the scoring path: shed, decode (@p decode turns a
+     * binary body into manifest text), expand suite references, parse
+     * and build every line. A line that fails to build is marked
+     * invalid and fails alone.
+     */
+    Parsed parseBody(const RequestContext &ctx,
+                     std::string (*decode)(const std::string &));
+
+    /**
+     * The back of the scoring path: admit the request in @p lane, arm
+     * each line's deadline, submit every line, wait once per line,
+     * persist what scored. False = shed by the gate (the caller
+     * answers); otherwise every line's result is filled in.
+     */
+    bool scoreLines(const RequestContext &ctx, Parsed &parsed, Lane lane);
 
     /** GET /v1/drift: every tracked suite's drift report. */
     HttpResponse handleDriftList(const RequestContext &ctx);
@@ -274,21 +323,11 @@ class Server
     /** 503 + Retry-After (the admission-shed and overflow answer). */
     static HttpResponse overloadedResponse(const std::string &traceId);
 
-    /** Cached stale score as 200 + X-Hiermeans-Stale (in the
-     *  request's negotiated format), when available and allowed;
-     *  nullopt sends the caller down the 503 path. */
-    std::optional<HttpResponse> tryStale(std::uint64_t fingerprint,
-                                         const std::string &id,
-                                         const RequestContext &ctx);
-
-    /** Wait for @p future, polling @p token; a watchdog trip abandons
-     *  the future and yields a 504 (nullopt = result arrived). */
-    std::optional<HttpResponse>
-    awaitWithWatchdog(std::future<engine::ScoreResult> &future,
-                      const Watchdog::Token &token,
-                      engine::CancelSource *cancel,
-                      engine::ScoreResult &result,
-                      const std::string &traceId);
+    /** @p request's cached score as 200 + X-Hiermeans-Stale (in the
+     *  request's negotiated format) when available and allowed;
+     *  otherwise @p fallback (the 503). */
+    HttpResponse staleOr(const engine::ScoreRequest &request,
+                         const RequestContext &ctx, HttpResponse fallback);
 
     Config config_;
     engine::ScoringEngine engine_;
@@ -296,7 +335,6 @@ class Server
     ServerMetrics metrics_;
     CircuitBreaker breaker_;
     HealthMonitor health_;
-    Watchdog watchdog_;
     Router router_;
     SuiteService suites_;
     HttpTransport transport_;
@@ -311,6 +349,10 @@ class Server
     /** Parent of every per-request cancel source; drain fires it. */
     engine::CancelSource drainSource_;
     std::atomic<bool> draining_{false};
+
+    /** Lines past their deadline + grace whose request is not yet
+     *  answered: the health monitor's stuck-worker input. */
+    std::atomic<std::size_t> overdue_{0};
 };
 
 } // namespace server

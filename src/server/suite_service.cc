@@ -187,85 +187,12 @@ SuiteService::resolveAnywhere(const std::string &name,
 }
 
 SuiteService::Expansion
-SuiteService::expandScore(const RequestContext &ctx,
-                          const std::string &body)
+SuiteService::expand(const RequestContext &ctx, const std::string &body)
 {
-    // A `suite=` reference expands to the stored manifest text before
-    // any parsing; appended override tokens win by the CommandLine
-    // last-wins rule.
-    Expansion out;
-    out.text = body;
-    const SuiteRef ref = parseSuiteReference(out.text);
-    if (!ref.present)
-        return out;
-    if (!ref.error.empty()) {
-        metrics_.onMalformed();
-        out.response = errorResponse(ApiError::BadRequest, ref.error,
-                                     ctx.traceId);
-        return out;
-    }
-    const ClusterRoute route = routeFor(ctx, ref.name, true);
-    if (route.action != ClusterRoute::Action::Local) {
-        out.response = cluster_->relay(ctx, route);
-        return out;
-    }
-    if (store_ == nullptr) {
-        out.response = errorResponse(
-            ApiError::StoreDisabled,
-            "suite references need a durable store "
-            "(start hmserved with --data-dir)",
-            ctx.traceId);
-        return out;
-    }
-    const std::optional<store::SuiteVersion> stored =
-        resolveAnywhere(ref.name, ref.version);
-    if (!stored.has_value()) {
-        out.response = errorResponse(
-            ApiError::SuiteUnknown,
-            "no registered suite `" + ref.name + "`" +
-                (ref.version != 0
-                     ? " at version " + std::to_string(ref.version)
-                     : ""),
-            ctx.traceId);
-        return out;
-    }
-    out.suite = ref.name;
-    out.suiteVersion = stored->version;
-    const std::vector<std::string> lines =
-        manifestLogicalLines(stored->manifest);
-    if (ref.line > lines.size()) {
-        metrics_.onMalformed();
-        out.response = errorResponse(
-            ApiError::BadRequest,
-            "suite `" + ref.name + "` has " +
-                std::to_string(lines.size()) + " lines; line=" +
-                std::to_string(ref.line) + " is out of range",
-            ctx.traceId);
-        return out;
-    }
-    if (ref.line == 0 && lines.size() != 1) {
-        metrics_.onMalformed();
-        out.response = errorResponse(
-            ApiError::BadRequest,
-            "suite `" + ref.name + "` has " +
-                std::to_string(lines.size()) +
-                " lines; pick one with line=<n> or POST the "
-                "suite to /v1/batch",
-            ctx.traceId);
-        return out;
-    }
-    out.text = lines[ref.line == 0 ? 0 : ref.line - 1];
-    if (!ref.extras.empty())
-        out.text += " " + ref.extras;
-    return out;
-}
-
-SuiteService::Expansion
-SuiteService::expandBatch(const RequestContext &ctx,
-                          const std::string &body)
-{
-    // `suite=` expands to the whole stored document (or one line of
-    // it with line=<n>), override tokens appended to every line.
+    // A `suite=` reference expands to the stored manifest before any
+    // parsing: the whole document, or one line of it with line=<n>,
+    // override tokens appended to every line (the CommandLine
+    // last-wins rule turns them into overrides).
     Expansion out;
     out.text = body;
     const SuiteRef ref = parseSuiteReference(out.text);

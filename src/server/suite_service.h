@@ -87,16 +87,11 @@ class SuiteService
         std::uint32_t suiteVersion = 0;
     };
 
-    /** Expand a /v1/score body (single manifest line). @p body is
-     *  the request body already decoded to manifest text — the
-     *  handlers settle the wire format before expansion, so this
-     *  layer is codec-agnostic. */
-    Expansion expandScore(const RequestContext &ctx,
-                          const std::string &body);
-
-    /** Expand a /v1/batch body (whole document, decoded text). */
-    Expansion expandBatch(const RequestContext &ctx,
-                          const std::string &body);
+    /** Expand a /v1/score or /v1/batch body. @p body is the request
+     *  body already decoded to manifest text — the handlers settle
+     *  the wire format before expansion, so this layer is
+     *  codec-agnostic. */
+    Expansion expand(const RequestContext &ctx, const std::string &body);
 
     HttpResponse handleSuiteRegister(const RequestContext &ctx);
     HttpResponse handleSuiteList(const RequestContext &ctx);

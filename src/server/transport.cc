@@ -70,7 +70,12 @@ HttpTransport::stop()
 {
     if (!running_.load())
         return;
-    stopping_.store(true);
+    {
+        // Under the lock: a worker between its predicate check and
+        // its wait would otherwise miss the wake-up and never exit.
+        std::lock_guard<std::mutex> lock(pendingMutex_);
+        stopping_.store(true);
+    }
     pendingCv_.notify_all();
     if (acceptor_.joinable())
         acceptor_.join();

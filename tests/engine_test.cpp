@@ -207,7 +207,9 @@ TEST(EngineTest, QueueExpiredRequestsTimeOutWithoutExecuting)
     auto blocker = engine.pool().submit([opened]() { opened.wait(); });
 
     ScoreRequest request = makeRequest();
-    request.timeoutMillis = 1.0;
+    CancelSource deadline;
+    deadline.setDeadline(1.0);
+    request.cancel = deadline.token();
     auto future = engine.submit(std::move(request));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     gate.set_value();
@@ -232,7 +234,9 @@ TEST(EngineTest, OverrunningExecutionTimesOutCooperatively)
     ScoringEngine engine(smallEngineConfig(1));
     ScoreRequest request = makeRequest();
     request.config.som.steps = 200000;
-    request.timeoutMillis = 10.0;
+    CancelSource deadline;
+    deadline.setDeadline(10.0);
+    request.cancel = deadline.token();
     const ScoreResult result = engine.submit(std::move(request)).get();
 
     EXPECT_FALSE(result.ok);

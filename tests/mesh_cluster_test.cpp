@@ -23,6 +23,7 @@
 #include "src/server/json.h"
 #include "src/server/server.h"
 #include "src/util/file.h"
+#include "src/util/net.h"
 
 namespace {
 
@@ -39,10 +40,12 @@ class MeshClusterTest : public ::testing::Test
     {
         stem_ = "/tmp/hiermeans_mesh_cluster_" +
                 std::to_string(::getpid());
-        // Deterministic per-process ports: parallel ctest shards get
-        // distinct pids, so distinct ports.
+        // Deterministic per-process ports below the kernel's ephemeral
+        // range (32768 and up), where the port-0 listeners and client
+        // sockets of concurrently running tests land. Parallel ctest
+        // shards get distinct pids, so distinct ports.
         base_ = 21000 +
-                static_cast<std::uint16_t>((::getpid() * 13) % 20000);
+                static_cast<std::uint16_t>((::getpid() * 13) % 11000);
         scoresPath_ = stem_ + "_scores.csv";
         featuresPath_ = stem_ + "_features.csv";
         util::writeFile(scoresPath_, "workload,mA,mB\n"
@@ -59,9 +62,32 @@ class MeshClusterTest : public ::testing::Test
                                        "w3,0.8,-0.9,0.6\n"
                                        "w4,-0.7,0.1,1.2\n"
                                        "w5,-0.6,0.2,1.1\n");
-        for (int i = 0; i < kNodes; ++i)
-            startNode(i);
+        startCluster();
         waitForHealthyMesh();
+    }
+
+    /**
+     * Start every node; a port some other process still holds moves
+     * the whole cluster to the next block of ports.
+     */
+    void
+    startCluster()
+    {
+        for (int attempt = 0;; ++attempt) {
+            try {
+                for (int i = 0; i < kNodes; ++i)
+                    startNode(i);
+                return;
+            } catch (const net::NetError &) {
+                for (int i = 0; i < kNodes; ++i) {
+                    stopNode(i);
+                    wipeTree(dataDir(i));
+                }
+                if (attempt == 4)
+                    throw;
+                base_ = static_cast<std::uint16_t>(base_ + kNodes);
+            }
+        }
     }
 
     /**

@@ -505,6 +505,11 @@ TEST_F(OverloadServerTest, GenerousDeadlineIsAdmittedAndAnswered)
         "POST", "/v1/score", line("seed=3"), "text/plain",
         {{"X-Hiermeans-Deadline", "60000"}});
     EXPECT_EQ(answered.status, 200) << answered.body;
+    // A line's own tighter timeout-ms still wins over the header.
+    const Response tighter = c.roundTrip(
+        "POST", "/v1/score", line("seed=30 timeout-ms=0.000001"),
+        "text/plain", {{"X-Hiermeans-Deadline", "60000"}});
+    EXPECT_EQ(tighter.status, 504) << tighter.body;
     const auto snap = server_->metrics().snapshot(0, 1);
     EXPECT_EQ(snap.deadlineMisses, 0u);
 }

@@ -1,7 +1,6 @@
 /**
  * Unit tests for the server resilience primitives: CircuitBreaker
- * state machine, HealthMonitor hysteresis, and the Watchdog deadline
- * scanner.
+ * state machine and HealthMonitor hysteresis.
  */
 
 #include <chrono>
@@ -9,7 +8,6 @@
 #include <thread>
 
 #include "src/server/resilience.h"
-#include "src/server/watchdog.h"
 #include "src/util/error.h"
 
 namespace {
@@ -18,7 +16,6 @@ using namespace hiermeans;
 using server::CircuitBreaker;
 using server::HealthMonitor;
 using server::HealthState;
-using server::Watchdog;
 
 void
 sleepMillis(double millis)
@@ -217,99 +214,6 @@ TEST(HealthMonitorTest, InvalidConfigsAreRejected)
     config = healthConfig();
     config.recoverRatio = config.degradeRatio;
     EXPECT_THROW(HealthMonitor{config}, InvalidArgument);
-}
-
-Watchdog::Config
-watchdogConfig(double budget_millis, double grace_millis = 10.0)
-{
-    Watchdog::Config config;
-    config.pollMillis = 5.0;
-    config.defaultBudgetMillis = budget_millis;
-    config.graceMillis = grace_millis;
-    return config;
-}
-
-TEST(WatchdogTest, TokenExpiresPastTheDefaultBudget)
-{
-    Watchdog watchdog(watchdogConfig(30.0));
-    Watchdog::Token token = watchdog.watch(0.0);
-    EXPECT_FALSE(token.expired());
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (!token.expired() &&
-           std::chrono::steady_clock::now() < deadline)
-        sleepMillis(5.0);
-    EXPECT_TRUE(token.expired());
-    EXPECT_GE(watchdog.trips(), 1u);
-    EXPECT_GE(watchdog.overdue(), 1u);
-}
-
-TEST(WatchdogTest, ExplicitDeadlinePlusGraceIsHonored)
-{
-    // Default budget is generous; the request's own 20ms deadline
-    // (plus 10ms grace) is what should expire the token.
-    Watchdog watchdog(watchdogConfig(60000.0));
-    Watchdog::Token token = watchdog.watch(20.0);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (!token.expired() &&
-           std::chrono::steady_clock::now() < deadline)
-        sleepMillis(5.0);
-    EXPECT_TRUE(token.expired());
-}
-
-TEST(WatchdogTest, TokenReleasedInTimeNeverTrips)
-{
-    Watchdog watchdog(watchdogConfig(10000.0));
-    {
-        Watchdog::Token token = watchdog.watch(0.0);
-        EXPECT_FALSE(token.expired());
-    } // destructor deregisters.
-    sleepMillis(30.0);
-    EXPECT_EQ(watchdog.trips(), 0u);
-    EXPECT_EQ(watchdog.overdue(), 0u);
-}
-
-TEST(WatchdogTest, ZeroBudgetDisablesExpiry)
-{
-    Watchdog watchdog(watchdogConfig(0.0));
-    EXPECT_FALSE(watchdog.enabled());
-    Watchdog::Token token = watchdog.watch(0.0);
-    sleepMillis(60.0);
-    EXPECT_FALSE(token.expired());
-    EXPECT_EQ(watchdog.trips(), 0u);
-}
-
-TEST(WatchdogTest, OverdueGaugeDropsWhenTheTokenDies)
-{
-    Watchdog watchdog(watchdogConfig(20.0));
-    {
-        Watchdog::Token token = watchdog.watch(0.0);
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(5);
-        while (!token.expired() &&
-               std::chrono::steady_clock::now() < deadline)
-            sleepMillis(5.0);
-        ASSERT_TRUE(token.expired());
-        EXPECT_GE(watchdog.overdue(), 1u);
-    }
-    EXPECT_EQ(watchdog.overdue(), 0u);
-}
-
-TEST(WatchdogTest, MovedTokenKeepsWatching)
-{
-    Watchdog watchdog(watchdogConfig(20.0));
-    Watchdog::Token outer;
-    {
-        Watchdog::Token inner = watchdog.watch(0.0);
-        outer = std::move(inner);
-    }
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (!outer.expired() &&
-           std::chrono::steady_clock::now() < deadline)
-        sleepMillis(5.0);
-    EXPECT_TRUE(outer.expired());
 }
 
 } // namespace

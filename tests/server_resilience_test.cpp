@@ -1,11 +1,13 @@
 /**
  * @file
  * Loopback tests for the server resilience layer: degraded-mode stale
- * serving when the gate is full, the watchdog rescuing a connection
- * from a stuck engine worker, the circuit breaker fast-failing after
- * consecutive hard failures, and the breaker-aware /healthz states.
+ * serving when the gate is full, the handler's per-line await
+ * rescuing a connection (score and batch) from a stuck engine worker,
+ * the circuit breaker fast-failing after consecutive hard failures,
+ * and the breaker-aware /healthz states.
  */
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -92,6 +94,14 @@ class ServerResilienceTest : public ::testing::Test
     client() const
     {
         return server::HttpClient("127.0.0.1", server_->port());
+    }
+
+    static double
+    millisSince(std::chrono::steady_clock::time_point start)
+    {
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
     }
 
     /** Occupy every admission slot via the test hook. */
@@ -199,13 +209,10 @@ TEST_F(ServerResilienceTest, StaleBodyMatchesTheFreshScore)
 
 TEST_F(ServerResilienceTest, WatchdogRescuesAStuckWorkerWith504)
 {
-    startServer([](server::Server::Config &config) {
-        config.watchdog.pollMillis = 10.0;
-        config.watchdog.graceMillis = 50.0;
-    });
+    startServer();
     // The engine worker wedges for 3 s; the request's own deadline is
     // 100 ms. The cooperative timeout cannot fire while the pipeline
-    // is stuck, so the watchdog (deadline + grace) must answer.
+    // is stuck, so the handler (deadline + grace) must answer.
     fault::configure("engine.stall=always@3000");
     auto c = client();
     const Response response = c.roundTrip(
@@ -220,6 +227,163 @@ TEST_F(ServerResilienceTest, WatchdogRescuesAStuckWorkerWith504)
 
     // The rescued connection keeps serving; the wedged engine task is
     // somebody else's (abandoned) problem.
+    const Response health = c.roundTrip("GET", "/healthz");
+    EXPECT_EQ(health.status, 200);
+    fault::reset();
+}
+
+/**
+ * The handler's per-line await is the watchdog: a line still
+ * unanswered 250 ms past its one deadline is abandoned with a 504, and
+ * counts as a stuck worker until its request is answered.
+ */
+class WatchdogTest : public ServerResilienceTest
+{
+};
+
+TEST_F(WatchdogTest, TokenExpiresPastTheDefaultBudget)
+{
+    startServer([](server::Server::Config &config) {
+        config.defaultDeadlineMillis = 200.0;
+    });
+    // A line that states no deadline gets the server default, which
+    // the wedged worker cannot meet.
+    fault::configure("engine.stall=always@2000");
+    auto c = client();
+    const Response response =
+        c.roundTrip("POST", "/v1/score", line("seed=84"));
+    EXPECT_EQ(response.status, 504) << response.body;
+    EXPECT_NE(response.body.find("watchdog_timeout"), std::string::npos)
+        << response.body;
+    EXPECT_GE(server_->metrics().snapshot(0, 1).watchdogTrips, 1u);
+    fault::reset();
+}
+
+TEST_F(WatchdogTest, ExplicitDeadlinePlusGraceIsHonored)
+{
+    // The default is generous; the line's own 100 ms deadline plus the
+    // 250 ms grace is what abandons it — not sooner, and long before
+    // the stall ends.
+    startServer([](server::Server::Config &config) {
+        config.defaultDeadlineMillis = 60000.0;
+    });
+    fault::configure("engine.stall=always@2000");
+    auto c = client();
+    const auto sent = std::chrono::steady_clock::now();
+    const Response response = c.roundTrip(
+        "POST", "/v1/score", line("seed=86 timeout-ms=100"));
+    const double elapsed = millisSince(sent);
+    EXPECT_EQ(response.status, 504) << response.body;
+    EXPECT_NE(response.body.find("watchdog_timeout"), std::string::npos)
+        << response.body;
+    EXPECT_GE(elapsed, 350.0);
+    fault::reset();
+}
+
+TEST_F(WatchdogTest, TokenReleasedInTimeNeverTrips)
+{
+    startServer();
+    // Slow work that still answers inside its deadline is never
+    // abandoned.
+    fault::configure("engine.stall=always@100");
+    auto c = client();
+    const Response response = c.roundTrip(
+        "POST", "/v1/score", line("seed=87 timeout-ms=10000"));
+    EXPECT_EQ(response.status, 200) << response.body;
+    fault::reset();
+    const auto snapshot = server_->metrics().snapshot(0, 1);
+    EXPECT_EQ(snapshot.watchdogTrips, 0u);
+    EXPECT_EQ(snapshot.timeouts504, 0u);
+}
+
+TEST_F(WatchdogTest, ZeroBudgetDisablesExpiry)
+{
+    // Without a default deadline a line that states none waits as
+    // long as its work takes — here longer than the await grace.
+    startServer([](server::Server::Config &config) {
+        config.defaultDeadlineMillis = 0.0;
+    });
+    fault::configure("engine.stall=always@300");
+    auto c = client();
+    const Response response =
+        c.roundTrip("POST", "/v1/score", line("seed=85"));
+    EXPECT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(server_->metrics().snapshot(0, 1).watchdogTrips, 0u);
+    fault::reset();
+}
+
+TEST_F(WatchdogTest, OverdueGaugeDropsWhenTheTokenDies)
+{
+    startServer();
+    // Both lines wedge. The first is abandoned at 350 ms and counts as
+    // stuck — health degraded — while the batch still waits on the
+    // second (abandoned at 1250 ms).
+    fault::configure("engine.stall=always@2000");
+    std::atomic<bool> done{false};
+    Response answered;
+    std::thread batch([&] {
+        auto c = client();
+        answered = c.roundTrip("POST", "/v1/batch",
+                               line("seed=88 timeout-ms=100") + "\n" +
+                                   line("seed=89 timeout-ms=1000") +
+                                   "\n");
+        done.store(true);
+    });
+    auto probe = client();
+    bool sawStuck = false;
+    while (!done.load() && !sawStuck) {
+        const Response metrics = probe.roundTrip("GET", "/metrics");
+        sawStuck = metrics.body.find(
+                       "hiermeans_server_health_state{state=\"degraded\"} "
+                       "1") != std::string::npos;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    batch.join();
+    EXPECT_TRUE(sawStuck);
+    EXPECT_EQ(answered.status, 200) << answered.body;
+
+    // Once the request is answered nothing counts as stuck, although
+    // its wedged engine tasks still run.
+    const Response metrics = probe.roundTrip("GET", "/metrics");
+    ASSERT_EQ(metrics.status, 200);
+    EXPECT_NE(metrics.body.find(
+                  "hiermeans_server_health_state{state=\"ok\"} 1"),
+              std::string::npos);
+    fault::reset();
+}
+
+TEST_F(ServerResilienceTest, WedgedBatchHonoursTheClientDeadline)
+{
+    startServer();
+    // Both engine workers wedge for 3 s while the client allows 200 ms:
+    // every line must come back timed out once its deadline + grace
+    // lapses, well inside the stall — also the line whose own
+    // timeout-ms is looser, since the earlier deadline wins.
+    fault::configure("engine.stall=always@3000");
+    auto c = client();
+    const auto sent = std::chrono::steady_clock::now();
+    const Response response = c.roundTrip(
+        "POST", "/v1/batch",
+        line("seed=120") + "\n" + line("seed=121 timeout-ms=60000") +
+            "\n" + line("seed=122") + "\n",
+        "text/plain", {{"X-Hiermeans-Deadline", "200"}});
+    const double elapsed = millisSince(sent);
+    EXPECT_EQ(response.status, 200) << response.body;
+    EXPECT_LT(elapsed, 1500.0);
+
+    std::size_t lines = 0;
+    std::size_t start = 0;
+    for (std::size_t end = response.body.find('\n', start);
+         end != std::string::npos;
+         start = end + 1, end = response.body.find('\n', start)) {
+        const std::string entry = response.body.substr(start, end - start);
+        ++lines;
+        EXPECT_NE(entry.find("\"timed_out\":true"), std::string::npos)
+            << entry;
+    }
+    EXPECT_EQ(lines, 3u) << response.body;
+
+    // The connection keeps serving while the workers are still stuck.
     const Response health = c.roundTrip("GET", "/healthz");
     EXPECT_EQ(health.status, 200);
     fault::reset();

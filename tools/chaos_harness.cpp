@@ -238,8 +238,7 @@ chaosServerConfig(const std::string &data_dir = "")
     config.connectionThreads = 8;
     config.breaker.failureThreshold = 4;
     config.breaker.openMillis = 300.0;
-    config.watchdog.defaultBudgetMillis = 1500.0;
-    config.watchdog.graceMillis = 100.0;
+    config.defaultDeadlineMillis = 1500.0;
     if (!data_dir.empty()) {
         config.store.dataDir = data_dir;
         config.store.fsyncEvery = 1;
@@ -430,36 +429,60 @@ runMeshLeaderKill(const Workbench &bench, bool verbose)
     MeshOutcome outcome;
     const std::string stem = "/tmp/hiermeans_chaos_" +
                              std::to_string(::getpid()) + "_mesh";
-    const auto base = static_cast<std::uint16_t>(
-        23000 + (::getpid() * 17) % 20000);
+    // Ports below the kernel's ephemeral range (32768 and up), where
+    // the port-0 listeners and client sockets of concurrent runs land.
+    auto base = static_cast<std::uint16_t>(
+        23000 + (::getpid() * 17) % 9000);
     const char *ids[2] = {"a", "b"};
     std::string dirs[2];
-    std::string meshText;
-    meshText = "replicas = 2\nvnodes = 32\n";
     for (int i = 0; i < 2; ++i) {
         dirs[i] = stem + "_" + ids[i];
         wipeDir(dirs[i]);
-        meshText += std::string("node ") + ids[i] + " 127.0.0.1:" +
-                    std::to_string(base + i) + "\n";
     }
 
     std::unique_ptr<mesh::MeshRuntime> runtimes[2];
     std::unique_ptr<server::Server> servers[2];
-    for (int i = 0; i < 2; ++i) {
-        mesh::MeshRuntime::Config mesh_config;
-        mesh_config.mesh = mesh::parseMeshConfig(
-            std::string("self = ") + ids[i] + "\n" + meshText);
-        mesh_config.dataDir = dirs[i];
-        mesh_config.tickMillis = 100;
-        runtimes[i] =
-            std::make_unique<mesh::MeshRuntime>(mesh_config);
-        server::Server::Config config = chaosServerConfig(dirs[i]);
-        config.port = static_cast<std::uint16_t>(base + i);
-        config.store.snapshotEvery = 0;
-        config.cluster = runtimes[i].get();
-        servers[i] = std::make_unique<server::Server>(config);
-        servers[i]->start();
-        runtimes[i]->start(servers[i]->store());
+    const auto startMesh = [&] {
+        std::string meshText = "replicas = 2\nvnodes = 32\n";
+        for (int i = 0; i < 2; ++i)
+            meshText += std::string("node ") + ids[i] + " 127.0.0.1:" +
+                        std::to_string(base + i) + "\n";
+        for (int i = 0; i < 2; ++i) {
+            mesh::MeshRuntime::Config mesh_config;
+            mesh_config.mesh = mesh::parseMeshConfig(
+                std::string("self = ") + ids[i] + "\n" + meshText);
+            mesh_config.dataDir = dirs[i];
+            mesh_config.tickMillis = 100;
+            runtimes[i] =
+                std::make_unique<mesh::MeshRuntime>(mesh_config);
+            server::Server::Config config = chaosServerConfig(dirs[i]);
+            config.port = static_cast<std::uint16_t>(base + i);
+            config.store.snapshotEvery = 0;
+            config.cluster = runtimes[i].get();
+            servers[i] = std::make_unique<server::Server>(config);
+            servers[i]->start();
+            runtimes[i]->start(servers[i]->store());
+        }
+    };
+    // A port some other process still holds moves both nodes up.
+    for (int attempt = 0;; ++attempt) {
+        try {
+            startMesh();
+            break;
+        } catch (const net::NetError &) {
+            for (int i = 0; i < 2; ++i) {
+                if (servers[i] != nullptr)
+                    servers[i]->stop();
+                if (runtimes[i] != nullptr)
+                    runtimes[i]->stop();
+                servers[i].reset();
+                runtimes[i].reset();
+                wipeDir(dirs[i]);
+            }
+            if (attempt == 4)
+                throw;
+            base = static_cast<std::uint16_t>(base + 2);
+        }
     }
 
     // Both nodes must see each other healthy before routing is

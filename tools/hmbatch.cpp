@@ -129,7 +129,13 @@ run(const util::CommandLine &cl)
             if (request) {
                 machines.push_back(request->labelA + "/" +
                                    request->labelB);
-                futures.push_back(engine.submit(*request));
+                // The engine enforces only the cancel token: arm the
+                // line's timeout-ms on it, counted from submission.
+                engine::ScoreRequest submitted = *request;
+                engine::CancelSource deadline;
+                deadline.setDeadline(request->timeoutMillis);
+                submitted.cancel = deadline.token();
+                futures.push_back(engine.submit(std::move(submitted)));
             } else {
                 machines.push_back("-");
                 futures.push_back(std::nullopt);

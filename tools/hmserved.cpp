@@ -10,9 +10,8 @@
  * Usage:
  *   hmserved [--port=8377] [--threads=4] [--queue-depth=8]
  *            [--cache-entries=256] [--cache-mb=64] [--max-body-kb=256]
- *            [--timeout-ms=0] [--breaker-failures=8]
- *            [--breaker-open-ms=2000] [--watchdog-budget-ms=30000]
- *            [--watchdog-grace-ms=250] [--degrade-ratio=0.5]
+ *            [--default-deadline=30s] [--breaker-failures=8]
+ *            [--breaker-open-ms=2000] [--degrade-ratio=0.5]
  *            [--no-stale] [--quiet] [--trace] [--trace-slow-ms=250]
  *            [--trace-keep=64] [--trace-keep-slow=16] [--faults=SPEC]
  *            [--fault-seed=N] [--data-dir=DIR] [--fsync-every=1]
@@ -67,10 +66,6 @@ flagSpec()
         .flag("cache-mb", "N", "result cache byte bound (default 64)")
         .flag("max-body-kb", "N",
               "request body limit, 413 beyond (default 256)")
-        .flag("timeout-ms", "DUR",
-              "default per-request deadline when the manifest\n"
-              "line has no timeout-ms; accepts duration\n"
-              "suffixes (250ms, 2s, 1m; default 0: no deadline)")
         .flag("bulk-queue-depth", "N",
               "admission slots the bulk lane (/v1/batch,\n"
               "observe) may hold; interactive /v1/score owns\n"
@@ -82,12 +77,6 @@ flagSpec()
               "circuit (default 8; 0 disables)")
         .flag("breaker-open-ms", "N",
               "open window before a half-open probe (default 2000)")
-        .flag("watchdog-budget-ms", "N",
-              "hard budget for requests without their own\n"
-              "deadline (default 30000; 0 disables the watchdog)")
-        .flag("watchdog-grace-ms", "N",
-              "slack beyond a request's own deadline before\n"
-              "the watchdog answers 504 (default 250)")
         .flag("degrade-ratio", "X",
               "shed fraction of recent requests that flips\n"
               "/healthz to degraded (default 0.5)")
@@ -95,9 +84,11 @@ flagSpec()
               "never serve stale cached scores when shedding\n"
               "(default: serve them with X-Hiermeans-Stale: 1)")
         .flag("default-deadline", "DUR",
-              "deadline budget assumed for requests that\n"
-              "carry no X-Hiermeans-Deadline (e.g. 2s;\n"
-              "default 0: none)")
+              "deadline for a manifest line that states none\n"
+              "(no timeout-ms= and no X-Hiermeans-Deadline);\n"
+              "a worker still busy 250 ms past a line's\n"
+              "deadline is answered 504 (e.g. 2s, 1m;\n"
+              "default 30s; 0: none)")
         .flag("drain-deadline", "DUR",
               "how long SIGTERM waits for in-flight work\n"
               "before cancelling it (e.g. 5s, 1m;\n"
@@ -177,21 +168,16 @@ run(const util::CommandLine &cl)
         1024;
     config.maxBodyBytes =
         static_cast<std::size_t>(cl.getInt("max-body-kb", 256)) * 1024;
-    config.defaultTimeoutMillis = cl.getDurationMillis("timeout-ms", 0.0);
     config.bulkQueueDepth =
         static_cast<std::size_t>(cl.getInt("bulk-queue-depth", 0));
     config.defaultDeadlineMillis =
-        cl.getDurationMillis("default-deadline", 0.0);
+        cl.getDurationMillis("default-deadline", 30000.0);
     config.drainDeadlineMillis =
         cl.getDurationMillis("drain-deadline", 5000.0);
     config.breaker.failureThreshold =
         static_cast<std::size_t>(cl.getInt("breaker-failures", 8));
     config.breaker.openMillis =
         cl.getDurationMillis("breaker-open-ms", 2000.0);
-    config.watchdog.defaultBudgetMillis =
-        cl.getDurationMillis("watchdog-budget-ms", 30000.0);
-    config.watchdog.graceMillis =
-        cl.getDurationMillis("watchdog-grace-ms", 250.0);
     config.health.degradeRatio = cl.getDouble("degrade-ratio", 0.5);
     config.health.recoverRatio = config.health.degradeRatio / 4.0;
     config.serveStale = !cl.getBool("no-stale", false);

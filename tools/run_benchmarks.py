@@ -264,7 +264,7 @@ def bench_overload_shed(tools, cpus, args):
         port = free_port()
         server = popen([tools["hmserved"], "--port=%d" % port,
                         "--threads=2", "--queue-depth=%d" % depth,
-                        "--timeout-ms=10000"],
+                        "--default-deadline=10s"],
                        cpus, cwd=ROOT, stdout=subprocess.DEVNULL,
                        stderr=subprocess.DEVNULL)
         levels = {}
