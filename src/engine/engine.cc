@@ -57,7 +57,7 @@ ScoringEngine::ScoringEngine(Config config)
 std::future<ScoreResult>
 ScoringEngine::submit(ScoreRequest request)
 {
-    metrics_.onRequest();
+    metrics_.requests.inc();
     const auto received = std::chrono::steady_clock::now();
     const std::uint64_t fingerprint = fingerprintRequest(request);
 
@@ -78,7 +78,7 @@ ScoringEngine::submit(ScoreRequest request)
         trace->end(lookupSpan);
     if (cached) {
         lock.unlock();
-        metrics_.onCacheHit();
+        metrics_.cacheHits.inc();
         ScoreResult result;
         result.id = std::move(request.id);
         result.ok = true;
@@ -87,7 +87,7 @@ ScoringEngine::submit(ScoreRequest request)
         result.report = std::move(cached->report);
         result.analysis = std::move(cached->analysis);
         result.recommendedK = cached->recommendedK;
-        metrics_.recordRequest(millisSince(received));
+        metrics_.requestLatency.observe(millisSince(received));
         promise.set_value(std::move(result));
         return future;
     }
@@ -98,7 +98,7 @@ ScoringEngine::submit(ScoreRequest request)
         it->second->waiters.emplace_back(std::move(request.id),
                                          std::move(promise));
         lock.unlock();
-        metrics_.onDedupedInFlight();
+        metrics_.dedupedInFlight.inc();
         if (trace != nullptr) {
             // An instant marker: this request piggybacks on a running
             // twin, so its own trace ends at the join point.
@@ -157,12 +157,12 @@ ScoringEngine::execute(std::uint64_t fingerprint,
     {};
     const auto classifyCancel = [&](const char *where) {
         if (request->cancel.remainingMillis() <= 0.0) {
-            metrics_.onTimeout();
+            metrics_.timeouts.inc();
             result.timedOut = true;
             result.error =
                 std::string("timed out ") + where + " (deadline expired)";
         } else {
-            metrics_.onCancelled();
+            metrics_.cancellations.inc();
             result.cancelled = true;
             result.error = std::string("cancelled ") + where;
         }
@@ -175,7 +175,7 @@ ScoringEngine::execute(std::uint64_t fingerprint,
         if (trace != nullptr)
             trace->end(trace->begin("engine.purge", executeSpan));
     } else {
-        metrics_.onExecution();
+        metrics_.executions.inc();
         try {
             // Chaos hooks: a stuck worker (`engine.stall`, parameter =
             // milliseconds) and a task that dies mid-pipeline
@@ -230,16 +230,16 @@ ScoringEngine::execute(std::uint64_t fingerprint,
         } catch (const CancelledMidPipeline &) {
             classifyCancel("between pipeline stages");
         } catch (const std::exception &e) {
-            metrics_.onFailure();
+            metrics_.failures.inc();
             result.error = e.what();
         }
         result.wallMillis = millisSince(started);
-        metrics_.recordPipeline(result.wallMillis);
+        metrics_.pipelineLatency.observe(result.wallMillis);
 
         if (result.ok && request->cancel.remainingMillis() <= 0.0) {
             // Cooperative deadline: the pipeline cannot be interrupted
             // mid-SOM, so overruns are detected after the fact.
-            metrics_.onTimeout();
+            metrics_.timeouts.inc();
             result.ok = false;
             result.timedOut = true;
             result.report = scoring::ScoreReport{};
@@ -263,7 +263,7 @@ ScoringEngine::execute(std::uint64_t fingerprint,
                        CachedResult{result.report, result.analysis,
                                     result.recommendedK});
         } catch (const std::exception &) {
-            metrics_.onCacheInsertFailure();
+            metrics_.cacheInsertFailures.inc();
         }
     }
     if (trace != nullptr)
@@ -287,7 +287,7 @@ ScoringEngine::execute(std::uint64_t fingerprint,
         ScoreResult copy = result;
         copy.id = std::move(waiters[i].first);
         copy.deduped = i > 0; // waiter 0 is the request that ran.
-        metrics_.recordRequest(total);
+        metrics_.requestLatency.observe(total);
         waiters[i].second.set_value(std::move(copy));
     }
 }

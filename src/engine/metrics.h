@@ -1,139 +1,83 @@
 /**
  * @file
- * Engine observability: request counters and latency histograms.
+ * Engine observability: request counters and latency histograms,
+ * declared once in an obs::Registry that /metrics renders.
  *
- * Counters (requests, cache hits/misses, in-flight dedupes, failures,
- * timeouts) are lock-free atomics; latencies are recorded into two
- * sample histograms — one per executed pipeline, one per served
- * request (cache hits included) — from which p50/p95/max are read.
- * `render()` formats everything with the same `util::TextTable` the
- * report code uses, so an engine summary prints like a paper table.
+ * Counters (requests, cache hits, in-flight dedupes, executions,
+ * failures, timeouts, cancellations, uncached results) are lock-free
+ * atomics; two fixed-bucket histograms time every served request
+ * (cache hits included) and every executed pipeline.
  */
 
 #ifndef HIERMEANS_ENGINE_METRICS_H
 #define HIERMEANS_ENGINE_METRICS_H
 
-#include <atomic>
-#include <cstdint>
-#include <mutex>
-#include <string>
-#include <vector>
+#include "src/obs/registry.h"
 
 namespace hiermeans {
 namespace engine {
-
-/** A latency histogram storing raw samples (milliseconds). */
-class LatencyHistogram
-{
-  public:
-    /** Record one sample. Thread-safe. */
-    void record(double millis);
-
-    /** Number of samples recorded. */
-    std::size_t count() const;
-
-    /**
-     * Percentile @p p in [0, 100] by nearest-rank over the recorded
-     * samples; 0.0 when empty.
-     */
-    double percentile(double p) const;
-
-    /** Largest sample, 0.0 when empty. */
-    double max() const;
-
-    /** Arithmetic mean of the samples, 0.0 when empty. */
-    double mean() const;
-
-    /** Sum of all samples (milliseconds), 0.0 when empty. */
-    double sum() const;
-
-    /**
-     * Cumulative counts per upper bound in @p bounds (ascending) —
-     * the Prometheus `_bucket` series; result[i] counts samples
-     * <= bounds[i]. The implicit +Inf bucket equals count().
-     */
-    std::vector<std::uint64_t>
-    cumulativeCounts(const std::vector<double> &bounds) const;
-
-  private:
-    mutable std::mutex mutex_;
-    mutable std::vector<double> samples_;
-    mutable bool sorted_ = true;
-};
-
-/** Point-in-time copy of every engine metric. */
-struct MetricsSnapshot
-{
-    std::uint64_t requests = 0;       ///< total submits.
-    std::uint64_t cacheHits = 0;      ///< served straight from cache.
-    std::uint64_t dedupedInFlight = 0;///< piggybacked on a running twin.
-    std::uint64_t executions = 0;     ///< pipelines actually run.
-    std::uint64_t failures = 0;       ///< executions that threw.
-    std::uint64_t timeouts = 0;       ///< requests past their deadline.
-    std::uint64_t cancellations = 0;  ///< requests whose caller gave up.
-    std::uint64_t cacheInsertFailures = 0; ///< results served uncached.
-
-    /** Cache hits / lookups, 0.0 before the first request. */
-    double cacheHitRatio = 0.0;
-
-    struct Latency
-    {
-        std::size_t count = 0;
-        double p50 = 0.0;
-        double p95 = 0.0;
-        double max = 0.0;
-        double mean = 0.0;
-    };
-    Latency request;  ///< wall time per served request (hits ~0).
-    Latency pipeline; ///< wall time per executed pipeline.
-};
 
 /** Counters + histograms shared by every engine worker. */
 class EngineMetrics
 {
   public:
-    void onRequest() { ++requests_; }
-    void onCacheHit() { ++cacheHits_; }
-    void onDedupedInFlight() { ++dedupedInFlight_; }
-    void onExecution() { ++executions_; }
-    void onFailure() { ++failures_; }
-    void onTimeout() { ++timeouts_; }
-    void onCancelled() { ++cancellations_; }
-    void onCacheInsertFailure() { ++cacheInsertFailures_; }
-
-    /** Record the wall time of one served request. */
-    void recordRequest(double millis) { requestLatency_.record(millis); }
-
-    /** Record the wall time of one executed pipeline. */
-    void recordPipeline(double millis) { pipelineLatency_.record(millis); }
-
-    /** Consistent-enough snapshot of all counters and percentiles. */
-    MetricsSnapshot snapshot() const;
-
-    /** Raw histograms — bucket data for Prometheus exposition. */
-    const LatencyHistogram &requestHistogram() const
+    /** Declares every family below plus the cache-hit-ratio gauge. */
+    EngineMetrics()
     {
-        return requestLatency_;
-    }
-    const LatencyHistogram &pipelineHistogram() const
-    {
-        return pipelineLatency_;
+        registry_.gauge("hiermeans_engine_cache_hit_ratio",
+                        "Cache hits / engine requests.", [this] {
+                            const double total =
+                                static_cast<double>(requests.value());
+                            return obs::scalar(
+                                total > 0.0
+                                    ? static_cast<double>(
+                                          cacheHits.value()) /
+                                          total
+                                    : 0.0);
+                        });
     }
 
-    /** Render the snapshot as two aligned text tables. */
-    std::string render() const;
+    EngineMetrics(const EngineMetrics &) = delete;
+    EngineMetrics &operator=(const EngineMetrics &) = delete;
+
+    const obs::Registry &registry() const { return registry_; }
 
   private:
-    std::atomic<std::uint64_t> requests_{0};
-    std::atomic<std::uint64_t> cacheHits_{0};
-    std::atomic<std::uint64_t> dedupedInFlight_{0};
-    std::atomic<std::uint64_t> executions_{0};
-    std::atomic<std::uint64_t> failures_{0};
-    std::atomic<std::uint64_t> timeouts_{0};
-    std::atomic<std::uint64_t> cancellations_{0};
-    std::atomic<std::uint64_t> cacheInsertFailures_{0};
-    LatencyHistogram requestLatency_;
-    LatencyHistogram pipelineLatency_;
+    /** Declared first: every instrument below lives in it. */
+    obs::Registry registry_;
+
+  public:
+    obs::Counter &requests =
+        registry_.counter("hiermeans_engine_requests_total",
+                          "Requests submitted to the scoring engine.");
+    obs::Counter &cacheHits = registry_.counter(
+        "hiermeans_engine_cache_hits_total",
+        "Requests served straight from the result cache.");
+    obs::Counter &dedupedInFlight =
+        registry_.counter("hiermeans_engine_dedup_total",
+                          "Requests piggybacked on an in-flight twin.");
+    obs::Counter &executions = registry_.counter(
+        "hiermeans_engine_executions_total", "Pipelines actually executed.");
+    obs::Counter &cancellations = registry_.counter(
+        "hiermeans_engine_cancellations_total",
+        "Requests abandoned on a cancel token (drain or explicit).");
+    obs::Counter &failures =
+        registry_.counter("hiermeans_engine_failures_total",
+                          "Executions that raised an error.");
+    obs::Counter &timeouts =
+        registry_.counter("hiermeans_engine_timeouts_total",
+                          "Requests past their cooperative deadline.");
+    obs::Counter &cacheInsertFailures =
+        registry_.counter("hiermeans_engine_cache_insert_failures_total",
+                          "Results served but not cached.");
+    /** Wall time per served request (cache hits ~0). */
+    obs::Histogram &requestLatency = registry_.histogram(
+        "hiermeans_engine_request_duration_ms",
+        "Engine wall time per served request (milliseconds).");
+    /** Wall time per executed pipeline. */
+    obs::Histogram &pipelineLatency = registry_.histogram(
+        "hiermeans_engine_pipeline_duration_ms",
+        "Wall time per executed pipeline (milliseconds).");
 };
 
 } // namespace engine

@@ -38,6 +38,7 @@
 
 // obs — tracing + Prometheus metrics exposition
 #include "src/obs/prometheus.h"
+#include "src/obs/registry.h"
 #include "src/obs/trace.h"
 
 // linalg

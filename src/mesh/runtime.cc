@@ -56,6 +56,44 @@ MeshRuntime::MeshRuntime(Config config)
     : config_(std::move(config)),
       ring_(config_.mesh.nodeIds(), config_.mesh.vnodes)
 {
+    registry_.gauge("hiermeans_mesh_nodes", "Configured mesh members.",
+                    [this] {
+                        return obs::scalar(config_.mesh.nodes.size());
+                    });
+    registry_.gauge("hiermeans_mesh_peers_alive",
+                    "Members not currently marked down (self included).",
+                    [this] {
+                        std::size_t alive = 1; // self.
+                        for (const auto &[id, entry] : peers_) {
+                            (void)id;
+                            if (entry->health.load() != 2)
+                                ++alive;
+                        }
+                        return obs::scalar(alive);
+                    });
+    registry_.gauge("hiermeans_mesh_follower_acked_sequence",
+                    "Durable ack offset per follower of this node.", [this] {
+                        std::vector<obs::Sample> samples;
+                        for (const auto &[id, entry] : peers_)
+                            if (entry->follower)
+                                samples.push_back(
+                                    {{{"node", id}},
+                                     static_cast<double>(
+                                         entry->acked.load())});
+                        return samples;
+                    });
+    registry_.gauge("hiermeans_mesh_replica_sequence",
+                    "Durable sequence per mirrored leader.", [this] {
+                        std::vector<obs::Sample> samples;
+                        std::lock_guard<std::mutex> lock(replicaMutex_);
+                        for (const auto &[leader, replica] : replicas_)
+                            samples.push_back(
+                                {{{"leader", leader}},
+                                 static_cast<double>(
+                                     replica->lastSequence())});
+                        return samples;
+                    });
+
     followers_ =
         ring_.successorsOf(config_.mesh.selfId, config_.mesh.replicas - 1);
     for (const MeshNode &node : config_.mesh.nodes) {
@@ -114,9 +152,13 @@ MeshRuntime::start(store::StateStore *store)
 void
 MeshRuntime::stop()
 {
-    if (!started_ || stopping_.load())
-        return;
-    stopping_.store(true);
+    {
+        std::lock_guard<std::mutex> lock(stopMutex_);
+        if (!started_ || stopping_)
+            return;
+        stopping_ = true;
+    }
+    stopCv_.notify_all();
     if (background_.joinable())
         background_.join();
     std::lock_guard<std::mutex> lock(replicaMutex_);
@@ -169,7 +211,7 @@ MeshRuntime::routeSuite(const std::string &suite, bool isWrite)
         if (!peerAlive(id))
             continue; // dead: fail over clockwise.
         if (id != order.front())
-            failovers_.fetch_add(1, std::memory_order_relaxed);
+            failovers_.inc();
         server::ClusterRoute route;
         route.action = isWrite ? server::ClusterRoute::Action::Forward
                                : server::ClusterRoute::Action::Redirect;
@@ -187,7 +229,7 @@ MeshRuntime::relay(const server::RequestContext &ctx,
                    const server::ClusterRoute &route)
 {
     if (route.action == server::ClusterRoute::Action::Redirect) {
-        redirects_.fetch_add(1, std::memory_order_relaxed);
+        redirects_.inc();
         server::HttpResponse response;
         response.status = 307;
         response.set("Location", "http://" + route.host + ":" +
@@ -197,7 +239,7 @@ MeshRuntime::relay(const server::RequestContext &ctx,
         return response;
     }
 
-    forwards_.fetch_add(1, std::memory_order_relaxed);
+    forwards_.inc();
     obs::ScopedSpan span("mesh.forward");
     static const std::string kDefaultType = "application/json";
     static const std::string kEmpty;
@@ -216,7 +258,7 @@ MeshRuntime::relay(const server::RequestContext &ctx,
     if (ctx.hasDeadline()) {
         const double remaining = ctx.remainingMillis();
         if (remaining <= 0.0) {
-            forwardFailures_.fetch_add(1, std::memory_order_relaxed);
+            forwardFailures_.inc();
             return server::errorResponse(
                 server::ApiError::DeadlineExpired,
                 "mesh: client deadline spent before forward",
@@ -244,7 +286,7 @@ MeshRuntime::relay(const server::RequestContext &ctx,
         response.body = relayed.body;
         return response;
     } catch (const std::exception &e) {
-        forwardFailures_.fetch_add(1, std::memory_order_relaxed);
+        forwardFailures_.inc();
         if (Peer *target = peer(route.nodeId))
             target->health.store(2);
         return server::errorResponse(
@@ -278,7 +320,7 @@ MeshRuntime::shipTo(Peer &target, double budget_millis)
             // reinstall it from a full snapshot image.
             body = store_->snapshotImage();
             mode = "snapshot";
-            snapshotInstalls_.fetch_add(1, std::memory_order_relaxed);
+            snapshotInstalls_.inc();
         }
     }
 
@@ -302,21 +344,18 @@ MeshRuntime::shipTo(Peer &target, double budget_millis)
             // The follower refused (e.g. a sequence gap after it lost
             // its disk). Its answer carries the true durable offset;
             // adopt it so the next ship resyncs from there.
-            replicationFailures_.fetch_add(1,
-                                           std::memory_order_relaxed);
+            replicationFailures_.inc();
             target.acked.store(parseAcked(answer.body));
             return false;
         }
         target.acked.store(parseAcked(answer.body));
         target.health.store(1);
-        replicationBatches_.fetch_add(1, std::memory_order_relaxed);
-        replicationRecords_.fetch_add(records,
-                                      std::memory_order_relaxed);
-        replicationBytes_.fetch_add(body.size(),
-                                    std::memory_order_relaxed);
+        replicationBatches_.inc();
+        replicationRecords_.inc(records);
+        replicationBytes_.inc(body.size());
         return true;
     } catch (const std::exception &) {
-        replicationFailures_.fetch_add(1, std::memory_order_relaxed);
+        replicationFailures_.inc();
         target.health.store(2);
         target.client->disconnect();
         return false;
@@ -473,10 +512,9 @@ MeshRuntime::handleReplicate(const server::RequestContext &ctx)
             mode == "snapshot"
                 ? replica->installSnapshot(ctx.http.body)
                 : replica->applyFrames(ctx.http.body);
-        applyBatches_.fetch_add(1, std::memory_order_relaxed);
+        applyBatches_.inc();
         if (acked > before)
-            applyRecords_.fetch_add(acked - before,
-                                    std::memory_order_relaxed);
+            applyRecords_.inc(acked - before);
         std::ostringstream data;
         data << "{\"leader\":" << server::json::quote(leader)
              << ",\"mode\":\"" << mode << "\",\"acked\":" << acked
@@ -495,10 +533,14 @@ MeshRuntime::backgroundLoop()
 {
     const auto tick = std::chrono::milliseconds(
         config_.tickMillis > 0 ? config_.tickMillis : 500);
-    while (!stopping_.load()) {
+    const auto stopped = [this] {
+        std::lock_guard<std::mutex> lock(stopMutex_);
+        return stopping_;
+    };
+    for (;;) {
         for (auto &[id, entry] : peers_) {
             (void)id;
-            if (stopping_.load())
+            if (stopped())
                 return;
             // Liveness probe (also how a down peer is noticed coming
             // back: routing and replication both consult `health`).
@@ -526,120 +568,11 @@ MeshRuntime::backgroundLoop()
                 entry->acked.load() < store_->lastSequence())
                 shipTo(*entry);
         }
-        // Sleep in short slices so stop() never waits a full tick.
-        auto remaining = tick;
-        while (remaining.count() > 0 && !stopping_.load()) {
-            const auto slice =
-                std::min(remaining, std::chrono::milliseconds(50));
-            std::this_thread::sleep_for(slice);
-            remaining -= slice;
-        }
-    }
-}
-
-MeshMetrics
-MeshRuntime::metricsSnapshot() const
-{
-    MeshMetrics m;
-    m.forwards = forwards_.load();
-    m.forwardFailures = forwardFailures_.load();
-    m.redirects = redirects_.load();
-    m.failovers = failovers_.load();
-    m.replicationBatches = replicationBatches_.load();
-    m.replicationRecords = replicationRecords_.load();
-    m.replicationBytes = replicationBytes_.load();
-    m.replicationFailures = replicationFailures_.load();
-    m.snapshotInstalls = snapshotInstalls_.load();
-    m.applyBatches = applyBatches_.load();
-    m.applyRecords = applyRecords_.load();
-    return m;
-}
-
-void
-MeshRuntime::renderMetrics(obs::PrometheusWriter &w)
-{
-    const MeshMetrics m = metricsSnapshot();
-
-    w.header("hiermeans_mesh_nodes", "Configured mesh members.",
-             "gauge");
-    w.gauge("hiermeans_mesh_nodes", {},
-            static_cast<double>(config_.mesh.nodes.size()));
-    std::size_t alive = 1; // self.
-    for (const auto &[id, entry] : peers_) {
-        (void)id;
-        if (entry->health.load() != 2)
-            ++alive;
-    }
-    w.header("hiermeans_mesh_peers_alive",
-             "Members not currently marked down (self included).",
-             "gauge");
-    w.gauge("hiermeans_mesh_peers_alive", {},
-            static_cast<double>(alive));
-
-    w.header("hiermeans_mesh_forwards_total",
-             "Requests proxied to their shard owner.", "counter");
-    w.counter("hiermeans_mesh_forwards_total", {}, m.forwards);
-    w.header("hiermeans_mesh_forward_failures_total",
-             "Proxied requests that failed to reach their target.",
-             "counter");
-    w.counter("hiermeans_mesh_forward_failures_total", {},
-              m.forwardFailures);
-    w.header("hiermeans_mesh_redirects_total",
-             "Requests answered 307 toward their shard owner.",
-             "counter");
-    w.counter("hiermeans_mesh_redirects_total", {}, m.redirects);
-    w.header("hiermeans_mesh_failovers_total",
-             "Routes that skipped a dead owner clockwise.", "counter");
-    w.counter("hiermeans_mesh_failovers_total", {}, m.failovers);
-
-    w.header("hiermeans_mesh_replication_batches_total",
-             "WAL batches shipped to followers.", "counter");
-    w.counter("hiermeans_mesh_replication_batches_total", {},
-              m.replicationBatches);
-    w.header("hiermeans_mesh_replication_records_total",
-             "WAL records shipped to followers.", "counter");
-    w.counter("hiermeans_mesh_replication_records_total", {},
-              m.replicationRecords);
-    w.header("hiermeans_mesh_replication_bytes_total",
-             "Replication payload bytes shipped.", "counter");
-    w.counter("hiermeans_mesh_replication_bytes_total", {},
-              m.replicationBytes);
-    w.header("hiermeans_mesh_replication_failures_total",
-             "Replication ships that failed or were refused.",
-             "counter");
-    w.counter("hiermeans_mesh_replication_failures_total", {},
-              m.replicationFailures);
-    w.header("hiermeans_mesh_snapshot_installs_total",
-             "Followers reinstalled from a full snapshot image.",
-             "counter");
-    w.counter("hiermeans_mesh_snapshot_installs_total", {},
-              m.snapshotInstalls);
-    w.header("hiermeans_mesh_apply_batches_total",
-             "Replication batches applied from leaders.", "counter");
-    w.counter("hiermeans_mesh_apply_batches_total", {},
-              m.applyBatches);
-    w.header("hiermeans_mesh_apply_records_total",
-             "Replication records applied from leaders.", "counter");
-    w.counter("hiermeans_mesh_apply_records_total", {},
-              m.applyRecords);
-
-    w.header("hiermeans_mesh_follower_acked_sequence",
-             "Durable ack offset per follower of this node.", "gauge");
-    for (const auto &[id, entry] : peers_) {
-        if (!entry->follower)
-            continue;
-        w.gauge("hiermeans_mesh_follower_acked_sequence",
-                {{"node", id}},
-                static_cast<double>(entry->acked.load()));
-    }
-    w.header("hiermeans_mesh_replica_sequence",
-             "Durable sequence per mirrored leader.", "gauge");
-    {
-        std::lock_guard<std::mutex> lock(replicaMutex_);
-        for (const auto &[leader, replica] : replicas_)
-            w.gauge("hiermeans_mesh_replica_sequence",
-                    {{"leader", leader}},
-                    static_cast<double>(replica->lastSequence()));
+        // stop() sets the flag and notifies, so it never waits a tick.
+        const auto next = std::chrono::steady_clock::now() + tick;
+        std::unique_lock<std::mutex> lock(stopMutex_);
+        if (stopCv_.wait_until(lock, next, [this] { return stopping_; }))
+            return;
     }
 }
 

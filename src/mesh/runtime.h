@@ -32,6 +32,7 @@
 #define HIERMEANS_MESH_RUNTIME_H
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -51,22 +52,6 @@
 
 namespace hiermeans {
 namespace mesh {
-
-/** Cluster-side counters (all monotonic except gauges). */
-struct MeshMetrics
-{
-    std::uint64_t forwards = 0;
-    std::uint64_t forwardFailures = 0;
-    std::uint64_t redirects = 0;
-    std::uint64_t failovers = 0;
-    std::uint64_t replicationBatches = 0;
-    std::uint64_t replicationRecords = 0;
-    std::uint64_t replicationBytes = 0;
-    std::uint64_t replicationFailures = 0;
-    std::uint64_t snapshotInstalls = 0;
-    std::uint64_t applyBatches = 0;
-    std::uint64_t applyRecords = 0;
-};
 
 /** ClusterHooks implementation wiring ring + replication + relays. */
 class MeshRuntime : public server::ClusterHooks
@@ -116,8 +101,6 @@ class MeshRuntime : public server::ClusterHooks
         return followers_;
     }
 
-    MeshMetrics metricsSnapshot() const;
-
     /**
      * Attach a provider of a drift-summary JSON value; its output is
      * spliced into /v1/cluster as the `drift` field. Set by hmserved
@@ -156,7 +139,7 @@ class MeshRuntime : public server::ClusterHooks
     handleCluster(const server::RequestContext &ctx) override;
     server::HttpResponse
     handleReplicate(const server::RequestContext &ctx) override;
-    void renderMetrics(obs::PrometheusWriter &writer) override;
+    const obs::Registry &registry() const override { return registry_; }
 
   private:
     /** Peer-node state: health, replication offset, one RPC client. */
@@ -196,21 +179,51 @@ class MeshRuntime : public server::ClusterHooks
     mutable std::mutex replicaMutex_;
     std::map<std::string, std::unique_ptr<ReplicaStore>> replicas_;
 
-    std::atomic<bool> stopping_{false};
-    std::thread background_;
+    std::mutex stopMutex_;
+    std::condition_variable stopCv_;
+    bool stopping_ = false; ///< guarded by stopMutex_.
     bool started_ = false;
 
-    std::atomic<std::uint64_t> forwards_{0};
-    std::atomic<std::uint64_t> forwardFailures_{0};
-    std::atomic<std::uint64_t> redirects_{0};
-    std::atomic<std::uint64_t> failovers_{0};
-    std::atomic<std::uint64_t> replicationBatches_{0};
-    std::atomic<std::uint64_t> replicationRecords_{0};
-    std::atomic<std::uint64_t> replicationBytes_{0};
-    std::atomic<std::uint64_t> replicationFailures_{0};
-    std::atomic<std::uint64_t> snapshotInstalls_{0};
-    std::atomic<std::uint64_t> applyBatches_{0};
-    std::atomic<std::uint64_t> applyRecords_{0};
+    /** Declared before the instruments below, which live in it; the
+     *  gauge families (membership, peers, acks, replica sequences)
+     *  are declared in the constructor. */
+    obs::Registry registry_;
+    obs::Counter &forwards_ =
+        registry_.counter("hiermeans_mesh_forwards_total",
+                          "Requests proxied to their shard owner.");
+    obs::Counter &forwardFailures_ = registry_.counter(
+        "hiermeans_mesh_forward_failures_total",
+        "Proxied requests that failed to reach their target.");
+    obs::Counter &redirects_ = registry_.counter(
+        "hiermeans_mesh_redirects_total",
+        "Requests answered 307 toward their shard owner.");
+    obs::Counter &failovers_ =
+        registry_.counter("hiermeans_mesh_failovers_total",
+                          "Routes that skipped a dead owner clockwise.");
+    obs::Counter &replicationBatches_ =
+        registry_.counter("hiermeans_mesh_replication_batches_total",
+                          "WAL batches shipped to followers.");
+    obs::Counter &replicationRecords_ =
+        registry_.counter("hiermeans_mesh_replication_records_total",
+                          "WAL records shipped to followers.");
+    obs::Counter &replicationBytes_ =
+        registry_.counter("hiermeans_mesh_replication_bytes_total",
+                          "Replication payload bytes shipped.");
+    obs::Counter &replicationFailures_ =
+        registry_.counter("hiermeans_mesh_replication_failures_total",
+                          "Replication ships that failed or were refused.");
+    obs::Counter &snapshotInstalls_ = registry_.counter(
+        "hiermeans_mesh_snapshot_installs_total",
+        "Followers reinstalled from a full snapshot image.");
+    obs::Counter &applyBatches_ =
+        registry_.counter("hiermeans_mesh_apply_batches_total",
+                          "Replication batches applied from leaders.");
+    obs::Counter &applyRecords_ =
+        registry_.counter("hiermeans_mesh_apply_records_total",
+                          "Replication records applied from leaders.");
+
+    /** Last: the probe/catch-up loop uses every member above. */
+    std::thread background_;
 };
 
 } // namespace mesh

@@ -179,7 +179,9 @@ struct LineScanner
                !std::isdigit(static_cast<unsigned char>(out[0]));
     }
 
-    bool scanLabels()
+    /** Scan an optional `{...}` label set into @p labels (values
+     *  kept escaped). */
+    bool scanLabels(Labels &labels)
     {
         if (peek() != '{')
             return true;
@@ -198,6 +200,7 @@ struct LineScanner
             if (peek() != '"')
                 return false;
             ++pos;
+            const std::size_t valueStart = pos;
             while (!done() && peek() != '"') {
                 if (peek() == '\\') {
                     ++pos;
@@ -209,6 +212,8 @@ struct LineScanner
             }
             if (peek() != '"')
                 return false;
+            labels.emplace_back(labelName,
+                                line.substr(valueStart, pos - valueStart));
             ++pos;
             if (peek() == ',') {
                 ++pos;
@@ -222,7 +227,7 @@ struct LineScanner
         return true;
     }
 
-    bool scanValue()
+    bool scanValue(double &value)
     {
         while (!done() && peek() == ' ')
             ++pos;
@@ -232,16 +237,32 @@ struct LineScanner
         const std::string token = line.substr(start, pos - start);
         if (token.empty())
             return false;
-        if (token == "+Inf" || token == "-Inf" || token == "NaN" ||
-            token == "Inf")
-            return true;
+        /* strtod also takes the spec's +Inf, -Inf and NaN. */
         char *end = nullptr;
-        std::strtod(token.c_str(), &end);
+        value = std::strtod(token.c_str(), &end);
         return end != nullptr && *end == '\0';
     }
 };
 
 } // namespace
+
+std::vector<std::string>
+seriesKeys(const std::string &text)
+{
+    std::vector<std::string> keys;
+    std::istringstream stream(text);
+    std::string line;
+    while (std::getline(stream, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        LineScanner scanner(line);
+        std::string name;
+        Labels labels;
+        if (scanner.scanName(name) && scanner.scanLabels(labels))
+            keys.push_back(line.substr(0, scanner.pos));
+    }
+    return keys;
+}
 
 std::vector<std::string>
 lintExposition(const std::string &text)
@@ -266,6 +287,8 @@ lintExposition(const std::string &text)
         bool count = false;
     };
     std::map<std::string, HistogramState> histograms;
+    /* `family{other labels}` -> sum of its `state`-labelled series. */
+    std::map<std::string, double> oneHot;
 
     std::istringstream stream(text);
     std::string line;
@@ -306,7 +329,8 @@ lintExposition(const std::string &text)
             complain("sample does not start with a metric name");
             continue;
         }
-        if (!scanner.scanLabels()) {
+        Labels labels;
+        if (!scanner.scanLabels(labels)) {
             complain("malformed label set");
             continue;
         }
@@ -314,7 +338,8 @@ lintExposition(const std::string &text)
             complain("expected space before value");
             continue;
         }
-        if (!scanner.scanValue()) {
+        double value = 0.0;
+        if (!scanner.scanValue(value)) {
             complain("malformed sample value");
             continue;
         }
@@ -373,8 +398,30 @@ lintExposition(const std::string &text)
             }
         } else if (isBucket) {
             complain("_bucket sample in non-histogram family");
+        } else if (typeIt->second == "gauge") {
+            /* A state-labelled gauge is one-hot: each group of its
+             * other labels must sum to exactly 1. */
+            std::string others; // kept as written (escaped).
+            bool stateful = false;
+            for (const auto &[labelName, labelValue] : labels) {
+                if (labelName == "state")
+                    stateful = true;
+                else
+                    others += (others.empty() ? "" : ",") + labelName +
+                              "=\"" + labelValue + '"';
+            }
+            if (stateful)
+                oneHot[others.empty() ? family
+                                      : family + '{' + others + '}'] +=
+                    value;
         }
     }
+
+    for (const auto &[group, sum] : oneHot)
+        if (sum != 1.0)
+            problems.push_back("state gauge " + group +
+                               " is not one-hot (sum " + formatDouble(sum) +
+                               ")");
 
     for (const auto &entry : histograms) {
         if (!entry.second.inf)

@@ -75,10 +75,16 @@ bool validMetricName(const std::string &name);
  * (`# HELP`/`# TYPE ... counter|gauge|histogram|summary|untyped`), a
  * sample (`name{labels} value [timestamp]`), or blank; every sample
  * belongs to a `# TYPE`d family; histogram families end with a
- * `+Inf` bucket and have `_sum`/`_count`. Returns human-readable
- * problems, one per offending line; empty means valid.
+ * `+Inf` bucket and have `_sum`/`_count`; every `state`-labelled
+ * gauge is one-hot, summing to exactly 1 per group of its other
+ * labels. Returns human-readable problems, one per offending line or
+ * group; empty means valid.
  */
 std::vector<std::string> lintExposition(const std::string &text);
+
+/** The series key (`name{labels}`, as written) of every sample line
+ *  in @p text, in document order. */
+std::vector<std::string> seriesKeys(const std::string &text);
 
 } // namespace obs
 } // namespace hiermeans

@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/prometheus.h"
+#include "src/obs/registry.h"
 #include "src/server/http.h"
 #include "src/server/router.h"
 #include "src/store/state.h"
@@ -107,8 +107,8 @@ class ClusterHooks
      *  and answer the durable ack offset. */
     virtual HttpResponse handleReplicate(const RequestContext &ctx) = 0;
 
-    /** Append the hiermeans_mesh_* family to the /metrics body. */
-    virtual void renderMetrics(obs::PrometheusWriter &writer) = 0;
+    /** The hiermeans_mesh_* families, rendered into /metrics. */
+    virtual const obs::Registry &registry() const = 0;
 };
 
 } // namespace server

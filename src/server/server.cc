@@ -5,7 +5,6 @@
 #include <optional>
 #include <sstream>
 
-#include "src/gen/registry.h"
 #include "src/obs/prometheus.h"
 #include "src/obs/trace.h"
 #include "src/server/api.h"
@@ -14,7 +13,6 @@
 #include "src/util/error.h"
 #include "src/util/log.h"
 #include "src/util/signal.h"
-#include "src/util/version.h"
 #include "src/wire/wire.h"
 
 namespace hiermeans {
@@ -162,6 +160,127 @@ transportConfig(const Server::Config &config)
     return transport;
 }
 
+/** The hiermeans_store_* families, read from @p store per scrape. */
+void
+declareStoreFamilies(obs::Registry &registry, const store::StateStore &store,
+                     const std::size_t &warmed)
+{
+    const auto read = [&store](auto field) {
+        return [&store, field] {
+            return obs::scalar(static_cast<double>(store.metrics().*field));
+        };
+    };
+    using M = store::StoreMetrics;
+    registry.counter("hiermeans_store_wal_records_total",
+                     "Records appended to the write-ahead log.",
+                     read(&M::walRecords));
+    registry.counter("hiermeans_store_wal_bytes_total",
+                     "Bytes appended to the write-ahead log.",
+                     read(&M::walBytes));
+    registry.counter("hiermeans_store_wal_fsyncs_total", "WAL fsync calls.",
+                     read(&M::walFsyncs));
+    registry.counter("hiermeans_store_wal_append_failures_total",
+                     "WAL appends that failed (the response was served "
+                     "anyway).",
+                     read(&M::walAppendFailures));
+    registry.gauge("hiermeans_store_wal_size_bytes",
+                   "Current WAL file size.", read(&M::walSizeBytes));
+    registry.counter("hiermeans_store_snapshots_total",
+                     "Snapshots written (auto + requested + shutdown).",
+                     read(&M::snapshotsWritten));
+    registry.counter("hiermeans_store_snapshot_failures_total",
+                     "Snapshot attempts that failed.",
+                     read(&M::snapshotFailures));
+    registry.gauge("hiermeans_store_snapshot_age_seconds",
+                   "Seconds since the last snapshot (or since boot).",
+                   read(&M::sinceSnapshotSeconds));
+    registry.gauge("hiermeans_store_recovery_outcome",
+                   "Boot recovery outcome (1 on the active series).",
+                   [&store] {
+                       return obs::oneHot(
+                           {"clean_start", "clean", "truncated_tail",
+                            "snapshot_fallback"},
+                           store::recoveryOutcomeName(
+                               store.metrics().recoveryOutcome));
+                   });
+    registry.gauge("hiermeans_store_recovered_records",
+                   "Records replayed at boot (snapshot + WAL tail).",
+                   read(&M::recoveredRecords));
+    registry.gauge("hiermeans_store_recovery_discarded_bytes",
+                   "Torn WAL tail bytes truncated at boot.",
+                   read(&M::recoveryDiscardedBytes));
+    registry.gauge("hiermeans_store_warmed_cache_entries",
+                   "Result-cache entries repopulated at boot.",
+                   [&warmed] { return obs::scalar(warmed); });
+    registry.gauge("hiermeans_store_last_sequence",
+                   "Highest committed record sequence.",
+                   read(&M::lastSequence));
+    registry.gauge("hiermeans_store_suites", "Registered suites.",
+                   read(&M::suiteCount));
+    registry.gauge("hiermeans_store_history_entries",
+                   "Score-history entries across every ring.",
+                   read(&M::historyEntries));
+    registry.gauge("hiermeans_store_results",
+                   "Retained full score records (warm-startable).",
+                   read(&M::resultCount));
+}
+
+/** The hiermeans_drift_* families: one series per tracked suite. */
+void
+declareDriftFamilies(obs::Registry &registry,
+                     const drift::DriftMonitor &monitor)
+{
+    using Report = drift::DriftMonitor::Report;
+    const auto perSuite = [&monitor](auto field) {
+        return [&monitor, field] {
+            std::vector<obs::Sample> samples;
+            for (const Report &report : monitor.reports())
+                samples.push_back({{{"suite", report.suite}},
+                                   static_cast<double>(field(report))});
+            return samples;
+        };
+    };
+    registry.gauge("hiermeans_drift_suites",
+                   "Suites with a drift monitor attached.", [&monitor] {
+                       return obs::scalar(monitor.reports().size());
+                   });
+    registry.gauge(
+        "hiermeans_drift_state",
+        "Per-suite staleness (1 on the active series).", [&monitor] {
+            std::vector<obs::Sample> samples;
+            for (const Report &report : monitor.reports()) {
+                const std::vector<obs::Sample> states = obs::oneHot(
+                    {"fresh", "drifting", "stale"},
+                    drift::driftStateName(report.state),
+                    {{"suite", report.suite}});
+                samples.insert(samples.end(), states.begin(), states.end());
+            }
+            return samples;
+        });
+    registry.gauge("hiermeans_drift_churn",
+                   "Assignment churn vs the published clustering "
+                   "(fraction of the window).",
+                   perSuite([](const Report &r) { return r.metrics.churn; }));
+    registry.gauge(
+        "hiermeans_drift_stability",
+        "Adjusted Rand index vs the published clustering.",
+        perSuite([](const Report &r) { return r.metrics.stability; }));
+    registry.gauge(
+        "hiermeans_drift_qe_ratio",
+        "Window quantization error over the published baseline.",
+        perSuite([](const Report &r) { return r.metrics.qeRatio; }));
+    registry.gauge("hiermeans_drift_published_mean",
+                   "Hierarchical geometric mean at last publish.",
+                   perSuite([](const Report &r) { return r.publishedMean; }));
+    registry.counter("hiermeans_drift_ticks_total",
+                     "Re-cluster ticks per suite.",
+                     perSuite([](const Report &r) { return r.ticks; }));
+    registry.counter(
+        "hiermeans_drift_observations_total",
+        "Observations folded into the online map.",
+        perSuite([](const Report &r) { return r.observations; }));
+}
+
 } // namespace
 
 Server::Server(Config config)
@@ -174,6 +293,61 @@ Server::Server(Config config)
       requestDefaults_(util::CommandLine::parse({"hmserved"}))
 {
     suites_.setCluster(config_.cluster);
+
+    // State that lives in the gate, the breaker, the health monitor
+    // and the tracer, read at scrape time. The store and drift
+    // families join in start(), once they exist.
+    registry_.counter("hiermeans_server_shed_total",
+                      "Requests shed by the admission gate (503).",
+                      [this] { return obs::scalar(gate_.shedTotal()); });
+    registry_.counter("hiermeans_overload_shed_total",
+                      "Admission sheds by lane (503).", [this] {
+                          std::vector<obs::Sample> samples;
+                          for (Lane lane : {Lane::Interactive, Lane::Bulk})
+                              samples.push_back(
+                                  {{{"lane", laneName(lane)}},
+                                   static_cast<double>(
+                                       gate_.shedTotal(lane))});
+                          return samples;
+                      });
+    registry_.gauge("hiermeans_overload_draining",
+                    "1 while the drain state machine is active.",
+                    [this] { return obs::scalar(draining() ? 1.0 : 0.0); });
+    registry_.counter("hiermeans_server_breaker_opens_total",
+                      "Times the circuit breaker opened.",
+                      [this] { return obs::scalar(breaker_.opens()); });
+    registry_.gauge("hiermeans_server_admission_queue_depth",
+                    "Admission slots currently held.",
+                    [this] { return obs::scalar(gate_.depth()); });
+    registry_.gauge("hiermeans_server_admission_queue_capacity",
+                    "Admission slot capacity.",
+                    [this] { return obs::scalar(gate_.capacity()); });
+    registry_.gauge("hiermeans_server_health_state",
+                    "Health state (1 on the active series).", [this] {
+                        return obs::oneHot({"ok", "degraded", "draining"},
+                                           healthStateName(healthState()));
+                    });
+    registry_.gauge("hiermeans_server_breaker_state",
+                    "Circuit-breaker state (1 on the active series).",
+                    [this] {
+                        return obs::oneHot({"closed", "open", "half-open"},
+                                           breaker_.stateName());
+                    });
+    registry_.gauge("hiermeans_trace_enabled",
+                    "1 when request tracing is armed.", [] {
+                        return obs::scalar(obs::tracingEnabled() ? 1.0
+                                                                 : 0.0);
+                    });
+    registry_.counter("hiermeans_trace_finished_total",
+                      "Traces recorded since tracing was configured.", [] {
+                          return obs::scalar(
+                              obs::Tracer::instance().finishedTotal());
+                      });
+    registry_.counter("hiermeans_trace_slow_sampled_total",
+                      "Traces kept by the slow-request sampler.", [] {
+                          return obs::scalar(
+                              obs::Tracer::instance().slowTotal());
+                      });
 
     router_.add("POST", "/v1/score", [this](const RequestContext &c) {
         return handleScore(c);
@@ -249,8 +423,10 @@ Server::start()
     if (suites_.store() != nullptr) {
         warmedEntries_ = suites_.warmStart(engine_);
         HM_LOG(Info) << "store: cache warmed=" << warmedEntries_;
+        declareStoreFamilies(registry_, *suites_.store(), warmedEntries_);
         drift_ = std::make_unique<drift::DriftMonitor>(
             config_.drift, suites_.store());
+        declareDriftFamilies(registry_, *drift_);
         const std::size_t machines = drift_->warmStart();
         if (machines > 0)
             HM_LOG(Info) << "drift: restored " << machines
@@ -264,17 +440,15 @@ Server::start()
 void
 Server::reclusterLoop()
 {
-    // Sleep in short slices so stop() never waits a whole period.
-    constexpr auto kSlice = std::chrono::milliseconds(20);
     const auto period = std::chrono::duration<double>(
         config_.reclusterEverySeconds);
     auto next = std::chrono::steady_clock::now() + period;
-    while (!reclusterStop_.load(std::memory_order_relaxed)) {
-        if (std::chrono::steady_clock::now() < next) {
-            std::this_thread::sleep_for(kSlice);
-            continue;
-        }
+    std::unique_lock<std::mutex> lock(reclusterMutex_);
+    // stop() sets the flag and notifies, so it never waits a period.
+    while (!reclusterCv_.wait_until(lock, next,
+                                    [this] { return reclusterStop_; })) {
         next += period;
+        lock.unlock();
         try {
             const std::size_t ticked = drift_->tickAll().size();
             if (ticked > 0 && config_.cluster != nullptr)
@@ -283,6 +457,7 @@ Server::reclusterLoop()
             HM_LOG(Warn) << "drift: recluster pass failed: "
                          << e.what();
         }
+        lock.lock();
     }
 }
 
@@ -292,7 +467,6 @@ Server::beginDrain()
     if (draining_.exchange(true))
         return;
     health_.setDraining(); // /healthz flips to 503 for the drain.
-    metrics_.setDraining();
     HM_LOG(Info) << "drain: started (deadline "
                  << config_.drainDeadlineMillis << " ms)";
 }
@@ -300,7 +474,11 @@ Server::beginDrain()
 void
 Server::stop()
 {
-    reclusterStop_.store(true, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lock(reclusterMutex_);
+        reclusterStop_ = true;
+    }
+    reclusterCv_.notify_all();
     if (reclusterThread_.joinable())
         reclusterThread_.join();
     if (!transport_.running())
@@ -366,7 +544,7 @@ Server::shedBeforeAdmission(const RequestContext &ctx)
     // Draining: shed before any work so cluster clients fail over to
     // a peer immediately instead of racing the shutdown.
     if (draining_.load()) {
-        metrics_.onDrainShed();
+        metrics_.drainSheds.inc();
         HttpResponse response =
             errorResponse(ApiError::Draining,
                           "server draining, try another node",
@@ -379,7 +557,7 @@ Server::shedBeforeAdmission(const RequestContext &ctx)
     // waiting for the answer. Not a breaker event — the server is
     // healthy, the budget was just too small.
     if (ctx.hasDeadline() && ctx.remainingMillis() <= 0.0) {
-        metrics_.onDeadlineExpired();
+        metrics_.deadlineExpired.inc();
         return errorResponse(ApiError::DeadlineExpired,
                              "client deadline spent before admission",
                              ctx.traceId, "\"timed_out\":true");
@@ -410,7 +588,7 @@ Server::staleOr(const engine::ScoreRequest &request,
     result.analysis = std::move(cached->analysis);
     result.recommendedK = cached->recommendedK;
 
-    metrics_.onStaleServed();
+    metrics_.staleServed.inc();
     HttpResponse response = scoredResponse(result, ctx);
     response.set("X-Hiermeans-Stale", "1");
     return response;
@@ -432,7 +610,7 @@ Server::parseBody(const RequestContext &ctx,
         try {
             text = decode(ctx.http.body);
         } catch (const Error &e) {
-            metrics_.onMalformed();
+            metrics_.malformed.inc();
             parsed.response =
                 errorResponse(ApiError::BadRequest, e.what(), ctx.traceId);
             return parsed;
@@ -451,7 +629,7 @@ Server::parseBody(const RequestContext &ctx,
     try {
         lines = engine::parseManifest(expanded.text);
     } catch (const Error &e) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         parsed.response =
             errorResponse(ApiError::BadRequest, e.what(), ctx.traceId);
         return parsed;
@@ -477,9 +655,7 @@ Server::scoreLines(const RequestContext &ctx, Parsed &parsed, Lane lane)
 {
     obs::ScopedSpan admissionSpan("admission");
     AdmissionTicket ticket(gate_, lane);
-    if (!ticket.admitted()) {
-        metrics_.onShed();
-        metrics_.onLaneShed(lane);
+    if (!ticket.admitted()) { // the gate counts the shed.
         health_.onShed();
         return false;
     }
@@ -535,21 +711,21 @@ Server::scoreLines(const RequestContext &ctx, Parsed &parsed, Lane lane)
             line.tripped = true;
             line.result.timedOut = true;
             line.result.error = "watchdog: batch exceeded its budget";
-            metrics_.onWatchdogTrip();
+            metrics_.watchdogTrips.inc();
             health_.onStuckWorkers(overdue_.fetch_add(1) + 1);
             ++trips;
         }
         const engine::ScoreResult &result = line.result;
         if (result.timedOut)
-            metrics_.onTimeout();
+            metrics_.timeouts.inc();
         if (result.cancelled)
-            metrics_.onCancelled();
+            metrics_.cancelled.inc();
         if (result.ok) {
             suites_.persistScore(result, parsed.suite, parsed.suiteVersion,
                                  ctx.hasDeadline() ? ctx.remainingMillis()
                                                    : 0.0);
             if (ctx.remainingMillis() < 0.0) // +inf without a deadline.
-                metrics_.onDeadlineMiss();
+                metrics_.deadlineMisses.inc();
         }
     }
     if (trips > 0) // answered from here on: no longer stuck.
@@ -566,7 +742,7 @@ Server::handleScore(const RequestContext &ctx)
     if (parsed.response.has_value())
         return std::move(*parsed.response);
     if (parsed.lines.size() != 1) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         const std::string count = std::to_string(parsed.lines.size());
         return errorResponse(
             ApiError::BadRequest,
@@ -579,13 +755,13 @@ Server::handleScore(const RequestContext &ctx)
     }
     Line &line = parsed.lines.front();
     if (line.invalid) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         return errorResponse(ApiError::InvalidManifest, line.result.error,
                              ctx.traceId);
     }
 
     if (!breaker_.allow()) {
-        metrics_.onBreakerFastFail();
+        metrics_.breakerFastFails.inc();
         HttpResponse open = errorResponse(
             ApiError::CircuitOpen, "circuit open on /v1/score", ctx.traceId);
         open.set("Retry-After", std::to_string(std::max(
@@ -635,7 +811,7 @@ Server::handleBatch(const RequestContext &ctx)
     if (parsed.response.has_value())
         return std::move(*parsed.response);
     if (parsed.lines.empty()) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         return errorResponse(ApiError::BadRequest,
                              "manifest has no requests", ctx.traceId);
     }
@@ -890,9 +1066,7 @@ Server::handleSuitePost(const RequestContext &ctx)
     // Observations are feed traffic: bulk lane, so a firehose of
     // observes can never crowd interactive scores out of the gate.
     AdmissionTicket ticket(gate_, Lane::Bulk);
-    if (!ticket.admitted()) {
-        metrics_.onShed();
-        metrics_.onLaneShed(Lane::Bulk);
+    if (!ticket.admitted()) { // the gate counts the shed.
         health_.onShed();
         return overloadedResponse(ctx.traceId);
     }
@@ -970,427 +1144,15 @@ Server::healthState() const
 }
 
 std::string
-Server::renderMetrics() const
-{
-    ServerMetricsSnapshot snap =
-        metrics_.snapshot(gate_.depth(), gate_.capacity());
-    snap.healthState = healthStateName(healthState());
-    snap.breakerState = breaker_.stateName();
-    snap.breakerOpens = breaker_.opens();
-    return "server metrics:\n" + ServerMetrics::render(snap) +
-           "\nengine metrics:\n" + engine_.metrics().render();
-}
-
-namespace {
-
-/** Shared latency bucket bounds (milliseconds) for every histogram
- *  on /metrics — one scale across server and engine. */
-const std::vector<double> &
-latencyBounds()
-{
-    static const std::vector<double> kBounds = {
-        0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000,
-        10000};
-    return kBounds;
-}
-
-void
-writeHistogram(obs::PrometheusWriter &writer, const std::string &name,
-               const obs::Labels &labels,
-               const engine::LatencyHistogram &histogram)
-{
-    writer.histogram(name, labels, latencyBounds(),
-                     histogram.cumulativeCounts(latencyBounds()),
-                     histogram.sum(), histogram.count());
-}
-
-/** One-hot state gauge: value 1 on the active state's series. */
-void
-writeStateGauge(obs::PrometheusWriter &writer, const std::string &name,
-                const std::vector<const char *> &states,
-                const std::string &active)
-{
-    for (const char *state : states)
-        writer.gauge(name, {{"state", state}},
-                     active == state ? 1.0 : 0.0);
-}
-
-} // namespace
-
-std::string
 Server::renderPrometheus() const
 {
-    ServerMetricsSnapshot snap =
-        metrics_.snapshot(gate_.depth(), gate_.capacity());
-    const engine::MetricsSnapshot engine_snap =
-        engine_.metrics().snapshot();
-    obs::PrometheusWriter w;
-
-    w.header("hiermeans_build_info",
-             "Build/version of the serving daemon.", "gauge");
-    w.gauge("hiermeans_build_info", {{"version", util::kVersion}}, 1.0);
-
-    // --- server: connections + requests -----------------------------
-    w.header("hiermeans_server_connections_accepted_total",
-             "TCP connections accepted.", "counter");
-    w.counter("hiermeans_server_connections_accepted_total", {},
-              snap.connectionsAccepted);
-    w.header("hiermeans_server_connections_rejected_total",
-             "Connections shed before any read.", "counter");
-    w.counter("hiermeans_server_connections_rejected_total", {},
-              snap.connectionsRejected);
-    w.header("hiermeans_server_connections_active",
-             "Connections currently being served.", "gauge");
-    w.gauge("hiermeans_server_connections_active", {},
-            static_cast<double>(snap.connectionsActive));
-
-    w.header("hiermeans_server_requests_total",
-             "HTTP requests received.", "counter");
-    w.counter("hiermeans_server_requests_total", {}, snap.requests);
-    w.header("hiermeans_server_responses_total",
-             "HTTP responses by status class.", "counter");
-    w.counter("hiermeans_server_responses_total", {{"class", "2xx"}},
-              snap.responses2xx);
-    w.counter("hiermeans_server_responses_total", {{"class", "4xx"}},
-              snap.responses4xx);
-    w.counter("hiermeans_server_responses_total", {{"class", "5xx"}},
-              snap.responses5xx);
-
-    w.header("hiermeans_server_shed_total",
-             "Requests shed by the admission gate (503).", "counter");
-    w.counter("hiermeans_server_shed_total", {}, snap.shed503);
-    w.header("hiermeans_server_timeouts_total",
-             "Requests past their deadline (504).", "counter");
-    w.counter("hiermeans_server_timeouts_total", {}, snap.timeouts504);
-    w.header("hiermeans_server_malformed_total",
-             "Malformed requests (400-class).", "counter");
-    w.counter("hiermeans_server_malformed_total", {}, snap.malformed400);
-    w.header("hiermeans_server_stale_served_total",
-             "Cached scores served on degraded paths.", "counter");
-    w.counter("hiermeans_server_stale_served_total", {},
-              snap.staleServed);
-    w.header("hiermeans_server_watchdog_trips_total",
-             "Stuck requests failed by the watchdog (504).", "counter");
-    w.counter("hiermeans_server_watchdog_trips_total", {},
-              snap.watchdogTrips);
-    w.header("hiermeans_server_breaker_fast_fail_total",
-             "Requests fast-failed by an open circuit (503).",
-             "counter");
-    w.counter("hiermeans_server_breaker_fast_fail_total", {},
-              snap.breakerFastFail);
-    w.header("hiermeans_server_breaker_opens_total",
-             "Times the circuit breaker opened.", "counter");
-    w.counter("hiermeans_server_breaker_opens_total", {},
-              breaker_.opens());
-
-    // --- server: overload & drain -----------------------------------
-    w.header("hiermeans_overload_shed_total",
-             "Admission sheds by lane (503).", "counter");
-    w.counter("hiermeans_overload_shed_total",
-              {{"lane", "interactive"}}, snap.shedInteractive);
-    w.counter("hiermeans_overload_shed_total", {{"lane", "bulk"}},
-              snap.shedBulk);
-    w.header("hiermeans_overload_deadline_expired_total",
-             "Requests whose client deadline was spent before "
-             "admission (504).",
-             "counter");
-    w.counter("hiermeans_overload_deadline_expired_total", {},
-              snap.deadlineExpired);
-    w.header("hiermeans_overload_cancelled_total",
-             "Admitted requests cancelled mid-pipeline (drain or "
-             "deadline).",
-             "counter");
-    w.counter("hiermeans_overload_cancelled_total", {},
-              snap.cancelled);
-    w.header("hiermeans_overload_deadline_miss_total",
-             "Answers delivered after the client deadline had "
-             "passed.",
-             "counter");
-    w.counter("hiermeans_overload_deadline_miss_total", {},
-              snap.deadlineMisses);
-    w.header("hiermeans_overload_drain_shed_total",
-             "Requests refused because the server is draining.",
-             "counter");
-    w.counter("hiermeans_overload_drain_shed_total", {},
-              snap.drainSheds);
-    w.header("hiermeans_overload_draining",
-             "1 while the drain state machine is active.", "gauge");
-    w.gauge("hiermeans_overload_draining", {},
-            snap.draining ? 1.0 : 0.0);
-
-    // --- wire-format negotiation --------------------------------------
-    w.header("hiermeans_wire_requests_total",
-             "Requests by negotiated wire format.", "counter");
-    w.counter("hiermeans_wire_requests_total", {{"format", "json"}},
-              snap.wireJson);
-    w.counter("hiermeans_wire_requests_total", {{"format", "binary"}},
-              snap.wireBinary);
-    w.header("hiermeans_wire_supported",
-             "1 for each binary wire version this build speaks.",
-             "gauge");
-    w.gauge("hiermeans_wire_supported",
-            {{"version", std::to_string(wire::kWireVersion)}}, 1.0);
-
-    // --- synthetic suite generators ----------------------------------
-    // Every family label is pre-seeded at zero so dashboards (and the
-    // hmctl --check lint) see the full label set before any traffic.
-    w.header("hiermeans_gen_registrations_total",
-             "Generator-tagged suite registrations by family.",
-             "counter");
-    {
-        const std::vector<std::string> families = gen::genMetricLabels();
-        for (std::size_t s = 0; s < families.size(); ++s)
-            w.counter("hiermeans_gen_registrations_total",
-                      {{"family", families[s]}},
-                      s < snap.genRegistrations.size()
-                          ? snap.genRegistrations[s]
-                          : 0);
-    }
-
-    w.header("hiermeans_server_admission_queue_depth",
-             "Admission slots currently held.", "gauge");
-    w.gauge("hiermeans_server_admission_queue_depth", {},
-            static_cast<double>(snap.queueDepth));
-    w.header("hiermeans_server_admission_queue_capacity",
-             "Admission slot capacity.", "gauge");
-    w.gauge("hiermeans_server_admission_queue_capacity", {},
-            static_cast<double>(snap.queueCapacity));
-
-    // --- server: state gauges ---------------------------------------
-    w.header("hiermeans_server_health_state",
-             "Health state (1 on the active series).", "gauge");
-    writeStateGauge(w, "hiermeans_server_health_state",
-                    {"ok", "degraded", "draining"},
-                    healthStateName(healthState()));
-    w.header("hiermeans_server_breaker_state",
-             "Circuit-breaker state (1 on the active series).",
-             "gauge");
-    writeStateGauge(w, "hiermeans_server_breaker_state",
-                    {"closed", "open", "half-open"},
-                    breaker_.stateName());
-
-    // --- server: per-endpoint latency -------------------------------
-    w.header("hiermeans_server_request_duration_ms",
-             "Request wall time by endpoint (milliseconds).",
-             "histogram");
-    for (std::size_t e = 0;
-         e < static_cast<std::size_t>(Endpoint::Count_); ++e) {
-        const auto endpoint = static_cast<Endpoint>(e);
-        writeHistogram(w, "hiermeans_server_request_duration_ms",
-                       {{"endpoint", endpointName(endpoint)}},
-                       metrics_.histogram(endpoint));
-    }
-
-    // --- engine ------------------------------------------------------
-    w.header("hiermeans_engine_requests_total",
-             "Requests submitted to the scoring engine.", "counter");
-    w.counter("hiermeans_engine_requests_total", {},
-              engine_snap.requests);
-    w.header("hiermeans_engine_cache_hits_total",
-             "Requests served straight from the result cache.",
-             "counter");
-    w.counter("hiermeans_engine_cache_hits_total", {},
-              engine_snap.cacheHits);
-    w.header("hiermeans_engine_dedup_total",
-             "Requests piggybacked on an in-flight twin.", "counter");
-    w.counter("hiermeans_engine_dedup_total", {},
-              engine_snap.dedupedInFlight);
-    w.header("hiermeans_engine_executions_total",
-             "Pipelines actually executed.", "counter");
-    w.counter("hiermeans_engine_executions_total", {},
-              engine_snap.executions);
-    w.header("hiermeans_engine_cancellations_total",
-             "Requests abandoned on a cancel token (drain or "
-             "explicit).",
-             "counter");
-    w.counter("hiermeans_engine_cancellations_total", {},
-              engine_snap.cancellations);
-    w.header("hiermeans_engine_failures_total",
-             "Executions that raised an error.", "counter");
-    w.counter("hiermeans_engine_failures_total", {},
-              engine_snap.failures);
-    w.header("hiermeans_engine_timeouts_total",
-             "Requests past their cooperative deadline.", "counter");
-    w.counter("hiermeans_engine_timeouts_total", {},
-              engine_snap.timeouts);
-    w.header("hiermeans_engine_cache_insert_failures_total",
-             "Results served but not cached.", "counter");
-    w.counter("hiermeans_engine_cache_insert_failures_total", {},
-              engine_snap.cacheInsertFailures);
-    w.header("hiermeans_engine_cache_hit_ratio",
-             "Cache hits / engine requests.", "gauge");
-    w.gauge("hiermeans_engine_cache_hit_ratio", {},
-            engine_snap.cacheHitRatio);
-
-    w.header("hiermeans_engine_request_duration_ms",
-             "Engine wall time per served request (milliseconds).",
-             "histogram");
-    writeHistogram(w, "hiermeans_engine_request_duration_ms", {},
-                   engine_.metrics().requestHistogram());
-    w.header("hiermeans_engine_pipeline_duration_ms",
-             "Wall time per executed pipeline (milliseconds).",
-             "histogram");
-    writeHistogram(w, "hiermeans_engine_pipeline_duration_ms", {},
-                   engine_.metrics().pipelineHistogram());
-
-    // --- store (emitted only when persistence is mounted) -------------
-    const store::StateStore *mounted = suites_.store();
-    if (mounted != nullptr) {
-        const store::StoreMetrics sm = mounted->metrics();
-        w.header("hiermeans_store_wal_records_total",
-                 "Records appended to the write-ahead log.", "counter");
-        w.counter("hiermeans_store_wal_records_total", {},
-                  sm.walRecords);
-        w.header("hiermeans_store_wal_bytes_total",
-                 "Bytes appended to the write-ahead log.", "counter");
-        w.counter("hiermeans_store_wal_bytes_total", {}, sm.walBytes);
-        w.header("hiermeans_store_wal_fsyncs_total",
-                 "WAL fsync calls.", "counter");
-        w.counter("hiermeans_store_wal_fsyncs_total", {}, sm.walFsyncs);
-        w.header("hiermeans_store_wal_append_failures_total",
-                 "WAL appends that failed (the response was served "
-                 "anyway).",
-                 "counter");
-        w.counter("hiermeans_store_wal_append_failures_total", {},
-                  sm.walAppendFailures);
-        w.header("hiermeans_store_wal_size_bytes",
-                 "Current WAL file size.", "gauge");
-        w.gauge("hiermeans_store_wal_size_bytes", {},
-                static_cast<double>(sm.walSizeBytes));
-
-        w.header("hiermeans_store_snapshots_total",
-                 "Snapshots written (auto + requested + shutdown).",
-                 "counter");
-        w.counter("hiermeans_store_snapshots_total", {},
-                  sm.snapshotsWritten);
-        w.header("hiermeans_store_snapshot_failures_total",
-                 "Snapshot attempts that failed.", "counter");
-        w.counter("hiermeans_store_snapshot_failures_total", {},
-                  sm.snapshotFailures);
-        w.header("hiermeans_store_snapshot_age_seconds",
-                 "Seconds since the last snapshot (or since boot).",
-                 "gauge");
-        w.gauge("hiermeans_store_snapshot_age_seconds", {},
-                sm.sinceSnapshotSeconds);
-
-        w.header("hiermeans_store_recovery_outcome",
-                 "Boot recovery outcome (1 on the active series).",
-                 "gauge");
-        writeStateGauge(
-            w, "hiermeans_store_recovery_outcome",
-            {"clean_start", "clean", "truncated_tail",
-             "snapshot_fallback"},
-            store::recoveryOutcomeName(sm.recoveryOutcome));
-        w.header("hiermeans_store_recovered_records",
-                 "Records replayed at boot (snapshot + WAL tail).",
-                 "gauge");
-        w.gauge("hiermeans_store_recovered_records", {},
-                static_cast<double>(sm.recoveredRecords));
-        w.header("hiermeans_store_recovery_discarded_bytes",
-                 "Torn WAL tail bytes truncated at boot.", "gauge");
-        w.gauge("hiermeans_store_recovery_discarded_bytes", {},
-                static_cast<double>(sm.recoveryDiscardedBytes));
-        w.header("hiermeans_store_warmed_cache_entries",
-                 "Result-cache entries repopulated at boot.", "gauge");
-        w.gauge("hiermeans_store_warmed_cache_entries", {},
-                static_cast<double>(warmedEntries_));
-
-        w.header("hiermeans_store_last_sequence",
-                 "Highest committed record sequence.", "gauge");
-        w.gauge("hiermeans_store_last_sequence", {},
-                static_cast<double>(sm.lastSequence));
-        w.header("hiermeans_store_suites",
-                 "Registered suites.", "gauge");
-        w.gauge("hiermeans_store_suites", {},
-                static_cast<double>(sm.suiteCount));
-        w.header("hiermeans_store_history_entries",
-                 "Score-history entries across every ring.", "gauge");
-        w.gauge("hiermeans_store_history_entries", {},
-                static_cast<double>(sm.historyEntries));
-        w.header("hiermeans_store_results",
-                 "Retained full score records (warm-startable).",
-                 "gauge");
-        w.gauge("hiermeans_store_results", {},
-                static_cast<double>(sm.resultCount));
-    }
-
-    // --- drift (emitted only when the monitor is running) -------------
-    if (drift_ != nullptr) {
-        const std::vector<drift::DriftMonitor::Report> reports =
-            drift_->reports();
-        w.header("hiermeans_drift_suites",
-                 "Suites with a drift monitor attached.", "gauge");
-        w.gauge("hiermeans_drift_suites", {},
-                static_cast<double>(reports.size()));
-        w.header("hiermeans_drift_state",
-                 "Per-suite staleness (1 on the active series).",
-                 "gauge");
-        for (const drift::DriftMonitor::Report &r : reports) {
-            const char *active = drift::driftStateName(r.state);
-            for (const char *state : {"fresh", "drifting", "stale"})
-                w.gauge("hiermeans_drift_state",
-                        {{"suite", r.suite}, {"state", state}},
-                        std::string_view(active) == state ? 1.0 : 0.0);
-        }
-        w.header("hiermeans_drift_churn",
-                 "Assignment churn vs the published clustering "
-                 "(fraction of the window).",
-                 "gauge");
-        for (const drift::DriftMonitor::Report &r : reports)
-            w.gauge("hiermeans_drift_churn", {{"suite", r.suite}},
-                    r.metrics.churn);
-        w.header("hiermeans_drift_stability",
-                 "Adjusted Rand index vs the published clustering.",
-                 "gauge");
-        for (const drift::DriftMonitor::Report &r : reports)
-            w.gauge("hiermeans_drift_stability", {{"suite", r.suite}},
-                    r.metrics.stability);
-        w.header("hiermeans_drift_qe_ratio",
-                 "Window quantization error over the published "
-                 "baseline.",
-                 "gauge");
-        for (const drift::DriftMonitor::Report &r : reports)
-            w.gauge("hiermeans_drift_qe_ratio", {{"suite", r.suite}},
-                    r.metrics.qeRatio);
-        w.header("hiermeans_drift_published_mean",
-                 "Hierarchical geometric mean at last publish.",
-                 "gauge");
-        for (const drift::DriftMonitor::Report &r : reports)
-            w.gauge("hiermeans_drift_published_mean",
-                    {{"suite", r.suite}}, r.publishedMean);
-        w.header("hiermeans_drift_ticks_total",
-                 "Re-cluster ticks per suite.", "counter");
-        for (const drift::DriftMonitor::Report &r : reports)
-            w.counter("hiermeans_drift_ticks_total",
-                      {{"suite", r.suite}}, r.ticks);
-        w.header("hiermeans_drift_observations_total",
-                 "Observations folded into the online map.", "counter");
-        for (const drift::DriftMonitor::Report &r : reports)
-            w.counter("hiermeans_drift_observations_total",
-                      {{"suite", r.suite}}, r.observations);
-    }
-
-    // --- mesh (emitted only in cluster mode) --------------------------
+    obs::PrometheusWriter writer;
+    metrics_.registry().render(writer);
+    registry_.render(writer);
+    engine_.metrics().registry().render(writer);
     if (config_.cluster != nullptr)
-        config_.cluster->renderMetrics(w);
-
-    // --- tracing ------------------------------------------------------
-    const obs::Tracer &tracer = obs::Tracer::instance();
-    w.header("hiermeans_trace_enabled",
-             "1 when request tracing is armed.", "gauge");
-    w.gauge("hiermeans_trace_enabled", {},
-            obs::tracingEnabled() ? 1.0 : 0.0);
-    w.header("hiermeans_trace_finished_total",
-             "Traces recorded since tracing was configured.",
-             "counter");
-    w.counter("hiermeans_trace_finished_total", {},
-              tracer.finishedTotal());
-    w.header("hiermeans_trace_slow_sampled_total",
-             "Traces kept by the slow-request sampler.", "counter");
-    w.counter("hiermeans_trace_slow_sampled_total", {},
-              tracer.slowTotal());
-
-    return w.text();
+        config_.cluster->registry().render(writer);
+    return writer.text();
 }
 
 } // namespace server

@@ -20,8 +20,8 @@
  *   GET  /v1/suites    registered suites and their versions;
  *   GET  /v1/history?suite=X  the persisted score-history ring;
  *   POST /v1/admin/snapshot  force a snapshot + WAL compaction;
- *   GET  /metrics      Prometheus text exposition of server + engine
- *                      counters, gauges and latency histograms;
+ *   GET  /metrics      Prometheus text exposition of every declared
+ *                      family (renderPrometheus());
  *   GET  /healthz      liveness probe (text).
  *
  * Cluster mode (Config::cluster attached, hmserved --mesh-config):
@@ -81,9 +81,11 @@
 #define HIERMEANS_SERVER_SERVER_H
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -241,12 +243,10 @@ class Server
      *  scoring path degrades an otherwise-ok server). */
     HealthState healthState() const;
 
-    /** Server + engine metrics as human-readable text tables (the
-     *  shutdown summary; /metrics serves renderPrometheus()). */
-    std::string renderMetrics() const;
-
-    /** Every server/engine/trace metric in Prometheus text
-     *  exposition format (the /metrics body). */
+    /** Every declared family — server, engine, the server's own
+     *  gauges (gate, health, breaker, tracer, store, drift) and the
+     *  mesh's — in Prometheus text exposition format: the /metrics
+     *  body and hmserved's shutdown summary. */
     std::string renderPrometheus() const;
 
   private:
@@ -333,6 +333,8 @@ class Server
     engine::ScoringEngine engine_;
     AdmissionGate gate_;
     ServerMetrics metrics_;
+    /** The families read from server state at scrape time. */
+    obs::Registry registry_;
     CircuitBreaker breaker_;
     HealthMonitor health_;
     Router router_;
@@ -341,8 +343,10 @@ class Server
     engine::CsvCache csvs_;
     util::CommandLine requestDefaults_;
     std::unique_ptr<drift::DriftMonitor> drift_;
+    std::mutex reclusterMutex_;
+    std::condition_variable reclusterCv_;
+    bool reclusterStop_ = false; ///< guarded by reclusterMutex_.
     std::thread reclusterThread_;
-    std::atomic<bool> reclusterStop_{false};
     std::size_t warmedEntries_ = 0;
     bool started_ = false;
 

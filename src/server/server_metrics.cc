@@ -1,24 +1,18 @@
 #include "src/server/server_metrics.h"
 
-#include "src/util/str.h"
-#include "src/util/text_table.h"
+#include "src/util/version.h"
+#include "src/wire/wire.h"
 
 namespace hiermeans {
 namespace server {
 
-const char *
-endpointName(Endpoint endpoint)
+const std::vector<std::string> &
+endpointNames()
 {
-    switch (endpoint) {
-    case Endpoint::Score:   return "/v1/score";
-    case Endpoint::Batch:   return "/v1/batch";
-    case Endpoint::Metrics: return "/metrics";
-    case Endpoint::Healthz: return "/healthz";
-    case Endpoint::Suites:  return "/v1/suites";
-    case Endpoint::History: return "/v1/history";
-    case Endpoint::Mesh:    return "/v1/mesh";
-    default:                return "(other)";
-    }
+    static const std::vector<std::string> kNames = {
+        "/v1/score", "/v1/batch",  "/metrics", "/healthz",
+        "/v1/suites", "/v1/history", "/v1/mesh", "(other)"};
+    return kNames;
 }
 
 Endpoint
@@ -41,132 +35,25 @@ endpointFor(const std::string &path)
     return Endpoint::Other;
 }
 
+ServerMetrics::ServerMetrics()
+{
+    registry_.gauge("hiermeans_build_info",
+                    "Build/version of the serving daemon.", [] {
+                        return std::vector<obs::Sample>{
+                            {{{"version", util::kVersion}}, 1.0}};
+                    });
+    registry_.gauge(
+        "hiermeans_wire_supported",
+        "1 for each binary wire version this build speaks.", [] {
+            return std::vector<obs::Sample>{
+                {{{"version", std::to_string(wire::kWireVersion)}}, 1.0}};
+        });
+}
+
 void
 ServerMetrics::onResponse(int status)
 {
-    if (status >= 500)
-        ++responses5xx_;
-    else if (status >= 400)
-        ++responses4xx_;
-    else
-        ++responses2xx_;
-}
-
-void
-ServerMetrics::recordLatency(Endpoint endpoint, double millis)
-{
-    latency_[static_cast<std::size_t>(endpoint)].record(millis);
-}
-
-ServerMetricsSnapshot
-ServerMetrics::snapshot(std::uint64_t queue_depth,
-                        std::uint64_t queue_capacity) const
-{
-    ServerMetricsSnapshot snap;
-    snap.connectionsAccepted = connectionsAccepted_.load();
-    snap.connectionsRejected = connectionsRejected_.load();
-    snap.connectionsActive = connectionsActive_.load();
-    snap.requests = requests_.load();
-    snap.responses2xx = responses2xx_.load();
-    snap.responses4xx = responses4xx_.load();
-    snap.responses5xx = responses5xx_.load();
-    snap.shed503 = shed503_.load();
-    snap.timeouts504 = timeouts504_.load();
-    snap.malformed400 = malformed400_.load();
-    snap.staleServed = staleServed_.load();
-    snap.watchdogTrips = watchdogTrips_.load();
-    snap.breakerFastFail = breakerFastFail_.load();
-    snap.shedInteractive = shedInteractive_.load();
-    snap.shedBulk = shedBulk_.load();
-    snap.deadlineExpired = deadlineExpired_.load();
-    snap.cancelled = cancelled_.load();
-    snap.deadlineMisses = deadlineMisses_.load();
-    snap.drainSheds = drainSheds_.load();
-    snap.wireJson = wireJson_.load();
-    snap.wireBinary = wireBinary_.load();
-    for (std::size_t s = 0; s < genRegistrations_.size(); ++s)
-        snap.genRegistrations[s] = genRegistrations_[s].load();
-    snap.draining = draining_.load();
-    snap.queueDepth = queue_depth;
-    snap.queueCapacity = queue_capacity;
-    for (std::size_t e = 0; e < latency_.size(); ++e) {
-        auto &out = snap.latency[e];
-        const engine::LatencyHistogram &hist = latency_[e];
-        out.count = hist.count();
-        out.p50 = hist.percentile(50.0);
-        out.p95 = hist.percentile(95.0);
-        out.p99 = hist.percentile(99.0);
-        out.max = hist.max();
-    }
-    return snap;
-}
-
-std::string
-ServerMetrics::render(const ServerMetricsSnapshot &snap)
-{
-    util::TextTable counters({"server counter", "value"});
-    counters.addRow({"connections accepted",
-                     std::to_string(snap.connectionsAccepted)});
-    counters.addRow({"connections rejected",
-                     std::to_string(snap.connectionsRejected)});
-    counters.addRow({"connections active",
-                     std::to_string(snap.connectionsActive)});
-    counters.addRow({"requests", std::to_string(snap.requests)});
-    counters.addRow({"responses 2xx",
-                     std::to_string(snap.responses2xx)});
-    counters.addRow({"responses 4xx",
-                     std::to_string(snap.responses4xx)});
-    counters.addRow({"responses 5xx",
-                     std::to_string(snap.responses5xx)});
-    counters.addRow({"shed (503)", std::to_string(snap.shed503)});
-    counters.addRow({"timeouts (504)",
-                     std::to_string(snap.timeouts504)});
-    counters.addRow({"malformed (400)",
-                     std::to_string(snap.malformed400)});
-    counters.addRow({"stale served",
-                     std::to_string(snap.staleServed)});
-    counters.addRow({"watchdog trips",
-                     std::to_string(snap.watchdogTrips)});
-    counters.addRow({"breaker fast-fails",
-                     std::to_string(snap.breakerFastFail)});
-    counters.addRow({"shed interactive lane",
-                     std::to_string(snap.shedInteractive)});
-    counters.addRow({"shed bulk lane",
-                     std::to_string(snap.shedBulk)});
-    counters.addRow({"deadline expired",
-                     std::to_string(snap.deadlineExpired)});
-    counters.addRow({"cancelled", std::to_string(snap.cancelled)});
-    counters.addRow({"deadline misses",
-                     std::to_string(snap.deadlineMisses)});
-    counters.addRow({"drain sheds", std::to_string(snap.drainSheds)});
-    counters.addRow({"wire format json",
-                     std::to_string(snap.wireJson)});
-    counters.addRow({"wire format binary",
-                     std::to_string(snap.wireBinary)});
-    counters.addRow({"admission queue depth",
-                     std::to_string(snap.queueDepth) + "/" +
-                         std::to_string(snap.queueCapacity)});
-    if (!snap.healthState.empty())
-        counters.addRow({"health state", snap.healthState});
-    if (!snap.breakerState.empty()) {
-        counters.addRow({"breaker state", snap.breakerState});
-        counters.addRow({"breaker opens",
-                         std::to_string(snap.breakerOpens)});
-    }
-
-    util::TextTable latency({"endpoint", "count", "p50 ms", "p95 ms",
-                             "p99 ms", "max ms"});
-    for (std::size_t e = 0;
-         e < static_cast<std::size_t>(Endpoint::Count_); ++e) {
-        const auto &lat = snap.latency[e];
-        if (lat.count == 0)
-            continue;
-        latency.addRow({endpointName(static_cast<Endpoint>(e)),
-                        std::to_string(lat.count),
-                        str::fixed(lat.p50, 2), str::fixed(lat.p95, 2),
-                        str::fixed(lat.p99, 2), str::fixed(lat.max, 2)});
-    }
-    return counters.render() + "\n" + latency.render();
+    responses[status >= 500 ? 2 : (status >= 400 ? 1 : 0)].inc();
 }
 
 } // namespace server

@@ -1,24 +1,22 @@
 /**
  * @file
- * Serving-layer observability: connection/request counters and
- * per-endpoint latency histograms, rendered next to the engine's own
- * metrics on GET /metrics and in the shutdown summary.
- *
- * Counters are lock-free atomics (same discipline as EngineMetrics);
- * the latency histograms reuse engine::LatencyHistogram so percentiles
- * are computed identically across layers.
+ * Serving-layer observability: the connection/request counters and
+ * per-endpoint latency histograms every connection worker bumps,
+ * declared once in an obs::Registry. `Server::renderPrometheus()`
+ * renders that registry (next to the engine's and the server's own
+ * gauges) on GET /metrics and in hmserved's shutdown summary.
  */
 
 #ifndef HIERMEANS_SERVER_SERVER_METRICS_H
 #define HIERMEANS_SERVER_SERVER_METRICS_H
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <vector>
 
-#include "src/engine/metrics.h"
-#include "src/server/admission.h"
+#include "src/gen/registry.h"
+#include "src/obs/registry.h"
 
 namespace hiermeans {
 namespace server {
@@ -37,164 +35,93 @@ enum class Endpoint : std::size_t
     Count_ // sentinel
 };
 
-/**
- * Label slots of the hiermeans_gen_registrations_total counter: one
- * per generator family plus the trailing "other" bucket. Must equal
- * gen::kGenMetricSlots (static_asserted where both are visible) —
- * kept as a plain constant here so the metrics layer stays decoupled
- * from src/gen.
- */
-inline constexpr std::size_t kGenFamilySlots = 5;
-
-/** Endpoint display name ("/v1/score", ...). */
-const char *endpointName(Endpoint endpoint);
+/** Endpoint display names ("/v1/score", ...), indexed by Endpoint. */
+const std::vector<std::string> &endpointNames();
 
 /** Classify a request path into its latency-attribution endpoint. */
 Endpoint endpointFor(const std::string &path);
-
-/** Point-in-time copy of every server counter. */
-struct ServerMetricsSnapshot
-{
-    std::uint64_t connectionsAccepted = 0;
-    std::uint64_t connectionsRejected = 0; ///< shed before any read.
-    std::uint64_t connectionsActive = 0;   ///< gauge.
-    std::uint64_t requests = 0;
-    std::uint64_t responses2xx = 0;
-    std::uint64_t responses4xx = 0;
-    std::uint64_t responses5xx = 0;
-    std::uint64_t shed503 = 0;     ///< admission queue full.
-    std::uint64_t timeouts504 = 0; ///< request deadline lapsed.
-    std::uint64_t malformed400 = 0;
-    std::uint64_t staleServed = 0;   ///< cached scores served degraded.
-    std::uint64_t watchdogTrips = 0; ///< stuck requests failed as 504.
-    std::uint64_t breakerFastFail = 0; ///< 503s from an open circuit.
-
-    // Overload-control counters (the hiermeans_overload_* family).
-    std::uint64_t shedInteractive = 0; ///< interactive-lane sheds.
-    std::uint64_t shedBulk = 0;        ///< bulk-lane sheds.
-    std::uint64_t deadlineExpired = 0; ///< shed pre-admission: budget spent.
-    std::uint64_t cancelled = 0;       ///< admitted work cancelled mid-flight.
-    std::uint64_t deadlineMisses = 0;  ///< answered past the client budget.
-    std::uint64_t drainSheds = 0;      ///< 503 draining answers.
-    bool draining = false;             ///< gauge: drain in progress.
-
-    // Negotiated wire formats (hiermeans_wire_requests_total).
-    std::uint64_t wireJson = 0;   ///< JSON/text requests.
-    std::uint64_t wireBinary = 0; ///< binary-wire requests.
-
-    // Generator-family suite registrations, by family slot
-    // (hiermeans_gen_registrations_total).
-    std::array<std::uint64_t, kGenFamilySlots> genRegistrations{};
-
-    std::uint64_t queueDepth = 0;    ///< gauge (admission gate).
-    std::uint64_t queueCapacity = 0;
-
-    // Resilience gauges, filled in by the Server (the breaker and
-    // health monitor live there, not in ServerMetrics).
-    std::string healthState;   ///< "ok" / "degraded" / "draining".
-    std::string breakerState;  ///< "closed" / "open" / "half-open".
-    std::uint64_t breakerOpens = 0;
-
-    struct EndpointLatency
-    {
-        std::size_t count = 0;
-        double p50 = 0.0;
-        double p95 = 0.0;
-        double p99 = 0.0;
-        double max = 0.0;
-    };
-    std::array<EndpointLatency,
-               static_cast<std::size_t>(Endpoint::Count_)>
-        latency;
-};
 
 /** Counters + histograms shared by every connection worker. */
 class ServerMetrics
 {
   public:
-    void onConnectionAccepted() { ++connectionsAccepted_; }
-    void onConnectionRejected() { ++connectionsRejected_; }
-    void onConnectionOpened() { ++connectionsActive_; }
-    void onConnectionClosed() { --connectionsActive_; }
-    void onRequest() { ++requests_; }
-    void onShed() { ++shed503_; }
-    void onTimeout() { ++timeouts504_; }
-    void onMalformed() { ++malformed400_; }
-    void onStaleServed() { ++staleServed_; }
-    void onWatchdogTrip() { ++watchdogTrips_; }
-    void onBreakerFastFail() { ++breakerFastFail_; }
-    void onLaneShed(Lane lane)
-    {
-        ++(lane == Lane::Bulk ? shedBulk_ : shedInteractive_);
-    }
-    void onDeadlineExpired() { ++deadlineExpired_; }
-    void onCancelled() { ++cancelled_; }
-    void onDeadlineMiss() { ++deadlineMisses_; }
-    void onDrainShed() { ++drainSheds_; }
-    /** Count one request's negotiated wire format: binary when the
-     *  body or the negotiated response format was the wire type. */
-    void onWireFormat(bool binary)
-    {
-        ++(binary ? wireBinary_ : wireJson_);
-    }
-    /** Count one generator-tagged suite registration; @p slot is a
-     *  gen::familyMetricSlot value (out-of-range goes to "other"). */
-    void onGenRegistered(std::size_t slot)
-    {
-        ++genRegistrations_[slot < kGenFamilySlots ? slot
-                                                   : kGenFamilySlots - 1];
-    }
-    void setDraining() { draining_.store(true); }
-    bool draining() const { return draining_.load(); }
+    /** Declares every family below plus the build and wire-version
+     *  advertisements. */
+    ServerMetrics();
 
-    /** Classify a response status into its class counter. */
+    ServerMetrics(const ServerMetrics &) = delete;
+    ServerMetrics &operator=(const ServerMetrics &) = delete;
+
+    const obs::Registry &registry() const { return registry_; }
+
+    /** Count @p status in its class series (2xx / 4xx / 5xx). */
     void onResponse(int status);
 
-    /** Record one served request's wall time for @p endpoint. */
-    void recordLatency(Endpoint endpoint, double millis);
-
-    /** Snapshot; queue gauges are supplied by the caller (the gate
-     *  lives in the Server, not here). */
-    ServerMetricsSnapshot snapshot(std::uint64_t queue_depth,
-                                   std::uint64_t queue_capacity) const;
-
-    /** Raw per-endpoint histogram — bucket data for Prometheus. */
-    const engine::LatencyHistogram &histogram(Endpoint endpoint) const
-    {
-        return latency_[static_cast<std::size_t>(endpoint)];
-    }
-
-    /** Render @p snap as aligned text tables (the /metrics body). */
-    static std::string render(const ServerMetricsSnapshot &snap);
-
   private:
-    std::atomic<std::uint64_t> connectionsAccepted_{0};
-    std::atomic<std::uint64_t> connectionsRejected_{0};
-    std::atomic<std::uint64_t> connectionsActive_{0};
-    std::atomic<std::uint64_t> requests_{0};
-    std::atomic<std::uint64_t> responses2xx_{0};
-    std::atomic<std::uint64_t> responses4xx_{0};
-    std::atomic<std::uint64_t> responses5xx_{0};
-    std::atomic<std::uint64_t> shed503_{0};
-    std::atomic<std::uint64_t> timeouts504_{0};
-    std::atomic<std::uint64_t> malformed400_{0};
-    std::atomic<std::uint64_t> staleServed_{0};
-    std::atomic<std::uint64_t> watchdogTrips_{0};
-    std::atomic<std::uint64_t> breakerFastFail_{0};
-    std::atomic<std::uint64_t> shedInteractive_{0};
-    std::atomic<std::uint64_t> shedBulk_{0};
-    std::atomic<std::uint64_t> deadlineExpired_{0};
-    std::atomic<std::uint64_t> cancelled_{0};
-    std::atomic<std::uint64_t> deadlineMisses_{0};
-    std::atomic<std::uint64_t> drainSheds_{0};
-    std::atomic<std::uint64_t> wireJson_{0};
-    std::atomic<std::uint64_t> wireBinary_{0};
-    std::array<std::atomic<std::uint64_t>, kGenFamilySlots>
-        genRegistrations_{};
-    std::atomic<bool> draining_{false};
-    std::array<engine::LatencyHistogram,
-               static_cast<std::size_t>(Endpoint::Count_)>
-        latency_;
+    /** Declared first: every instrument below lives in it. */
+    obs::Registry registry_;
+
+  public:
+    obs::Counter &connectionsAccepted =
+        registry_.counter("hiermeans_server_connections_accepted_total",
+                          "TCP connections accepted.");
+    obs::Counter &connectionsRejected =
+        registry_.counter("hiermeans_server_connections_rejected_total",
+                          "Connections shed before any read.");
+    obs::Gauge &connectionsActive =
+        registry_.gauge("hiermeans_server_connections_active",
+                        "Connections currently being served.");
+    obs::Counter &requests = registry_.counter(
+        "hiermeans_server_requests_total", "HTTP requests received.");
+    /** By class: [0] 2xx, [1] 4xx, [2] 5xx. */
+    std::deque<obs::Counter> &responses = registry_.counter(
+        "hiermeans_server_responses_total",
+        "HTTP responses by status class.", "class",
+        {"2xx", "4xx", "5xx"});
+    obs::Counter &timeouts =
+        registry_.counter("hiermeans_server_timeouts_total",
+                          "Requests past their deadline (504).");
+    obs::Counter &malformed =
+        registry_.counter("hiermeans_server_malformed_total",
+                          "Malformed requests (400-class).");
+    obs::Counter &staleServed =
+        registry_.counter("hiermeans_server_stale_served_total",
+                          "Cached scores served on degraded paths.");
+    obs::Counter &watchdogTrips = registry_.counter(
+        "hiermeans_server_watchdog_trips_total",
+        "Lines answered 504 by the handler after their worker ran past "
+        "deadline plus grace.");
+    obs::Counter &breakerFastFails = registry_.counter(
+        "hiermeans_server_breaker_fast_fail_total",
+        "Requests fast-failed by an open circuit (503).");
+    obs::Counter &deadlineExpired = registry_.counter(
+        "hiermeans_overload_deadline_expired_total",
+        "Requests whose client deadline was spent before admission "
+        "(504).");
+    obs::Counter &cancelled = registry_.counter(
+        "hiermeans_overload_cancelled_total",
+        "Admitted requests cancelled mid-pipeline (drain or deadline).");
+    obs::Counter &deadlineMisses = registry_.counter(
+        "hiermeans_overload_deadline_miss_total",
+        "Answers delivered after the client deadline had passed.");
+    obs::Counter &drainSheds = registry_.counter(
+        "hiermeans_overload_drain_shed_total",
+        "Requests refused because the server is draining.");
+    /** By negotiated format: [0] json/text, [1] binary wire. */
+    std::deque<obs::Counter> &wireRequests = registry_.counter(
+        "hiermeans_wire_requests_total",
+        "Requests by negotiated wire format.", "format",
+        {"json", "binary"});
+    /** By gen::familyMetricSlot ("other" last). */
+    std::deque<obs::Counter> &genRegistrations = registry_.counter(
+        "hiermeans_gen_registrations_total",
+        "Generator-tagged suite registrations by family.", "family",
+        gen::genMetricLabels());
+    /** By Endpoint. */
+    std::deque<obs::Histogram> &latency = registry_.histogram(
+        "hiermeans_server_request_duration_ms",
+        "Request wall time by endpoint (milliseconds).", "endpoint",
+        endpointNames());
 };
 
 } // namespace server

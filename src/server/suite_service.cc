@@ -15,9 +15,6 @@
 namespace hiermeans {
 namespace server {
 
-static_assert(kGenFamilySlots == gen::kGenMetricSlots,
-              "server metric slots must track gen::kGenMetricSlots");
-
 namespace {
 
 /** A `suite=<name>[@version]` reference found in a request body. */
@@ -199,7 +196,7 @@ SuiteService::expand(const RequestContext &ctx, const std::string &body)
     if (!ref.present)
         return out;
     if (!ref.error.empty()) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         out.response = errorResponse(ApiError::BadRequest, ref.error,
                                      ctx.traceId);
         return out;
@@ -234,7 +231,7 @@ SuiteService::expand(const RequestContext &ctx, const std::string &body)
     std::vector<std::string> stored_lines =
         manifestLogicalLines(stored->manifest);
     if (ref.line > stored_lines.size()) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         out.response = errorResponse(
             ApiError::BadRequest,
             "suite `" + ref.name + "` has " +
@@ -261,7 +258,7 @@ SuiteService::handleSuiteRegister(const RequestContext &ctx)
 {
     const std::string name = ctx.http.queryParam("name", "");
     if (name.empty()) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         return errorResponse(ApiError::BadRequest,
                              "missing `name` query parameter",
                              ctx.traceId);
@@ -270,7 +267,7 @@ SuiteService::handleSuiteRegister(const RequestContext &ctx)
         const bool ok = std::isalnum(static_cast<unsigned char>(c)) ||
                         c == '.' || c == '_' || c == '-';
         if (!ok) {
-            metrics_.onMalformed();
+            metrics_.malformed.inc();
             return errorResponse(
                 ApiError::BadRequest,
                 "suite names are [A-Za-z0-9._-]+, got `" + name + "`",
@@ -293,7 +290,7 @@ SuiteService::handleSuiteRegister(const RequestContext &ctx)
         try {
             manifest = wire::BatchView(ctx.http.body).manifestText();
         } catch (const Error &e) {
-            metrics_.onMalformed();
+            metrics_.malformed.inc();
             return errorResponse(ApiError::BadRequest, e.what(),
                                  ctx.traceId);
         }
@@ -305,12 +302,12 @@ SuiteService::handleSuiteRegister(const RequestContext &ctx)
     try {
         lines = engine::parseManifest(manifest);
     } catch (const Error &e) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         return errorResponse(ApiError::InvalidManifest, e.what(),
                              ctx.traceId);
     }
     if (lines.empty()) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         return errorResponse(ApiError::InvalidManifest,
                              "manifest has no requests", ctx.traceId);
     }
@@ -330,7 +327,7 @@ SuiteService::handleSuiteRegister(const RequestContext &ctx)
             consumed = 0;
         }
         if (consumed != version_param.size()) {
-            metrics_.onMalformed();
+            metrics_.malformed.inc();
             return errorResponse(ApiError::BadRequest,
                                  "version must be a non-negative "
                                  "integer, got `" +
@@ -345,7 +342,7 @@ SuiteService::handleSuiteRegister(const RequestContext &ctx)
             store_->registerSuiteVersion(name, manifest,
                                          requested_version);
         if (outcome.conflict) {
-            metrics_.onMalformed();
+            metrics_.malformed.inc();
             return errorResponse(
                 ApiError::SuiteVersionConflict,
                 "suite `" + name + "` version " +
@@ -356,7 +353,7 @@ SuiteService::handleSuiteRegister(const RequestContext &ctx)
                 ctx.traceId);
         }
         if (outcome.gap) {
-            metrics_.onMalformed();
+            metrics_.malformed.inc();
             return errorResponse(
                 ApiError::BadRequest,
                 "suite `" + name + "` version " +
@@ -373,7 +370,8 @@ SuiteService::handleSuiteRegister(const RequestContext &ctx)
         const std::string generator =
             ctx.http.queryParam("generator", "");
         if (outcome.created && !generator.empty())
-            metrics_.onGenRegistered(gen::familyMetricSlot(generator));
+            metrics_.genRegistrations[gen::familyMetricSlot(generator)]
+                .inc();
         std::ostringstream data;
         data << "{\"name\":" << json::quote(name)
              << ",\"version\":" << outcome.version.version
@@ -519,7 +517,7 @@ SuiteService::handleObserve(const RequestContext &ctx,
                             const std::string &suite)
 {
     if (suite.empty()) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         return errorResponse(ApiError::BadRequest,
                              "observe needs a suite name in the path",
                              ctx.traceId);
@@ -546,19 +544,19 @@ SuiteService::handleObserve(const RequestContext &ctx,
         try {
             observation = wire::decodeObservation(ctx.http.body);
         } catch (const Error &e) {
-            metrics_.onMalformed();
+            metrics_.malformed.inc();
             return errorResponse(ApiError::BadRequest, e.what(),
                                  ctx.traceId);
         }
     } else if (!observationFromJson(ctx.http.body, observation)) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         return errorResponse(
             ApiError::BadRequest,
             "observe body needs a positive numeric `ratio`",
             ctx.traceId);
     }
     if (!(observation.ratio > 0.0)) {
-        metrics_.onMalformed();
+        metrics_.malformed.inc();
         return errorResponse(
             ApiError::BadRequest,
             "observe body needs a positive numeric `ratio`",

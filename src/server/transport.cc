@@ -101,12 +101,12 @@ HttpTransport::acceptLoop()
         net::Socket accepted = net::acceptConnection(listener_.fd());
         if (!accepted.valid())
             continue;
-        metrics_.onConnectionAccepted();
+        metrics_.connectionsAccepted.inc();
 
         std::unique_lock<std::mutex> lock(pendingMutex_);
         if (pending_.size() >= pending_limit) {
             lock.unlock();
-            metrics_.onConnectionRejected();
+            metrics_.connectionsRejected.inc();
             HttpResponse response = errorResponse(
                 ApiError::Overloaded,
                 "server overloaded, admission queue full", "");
@@ -148,7 +148,7 @@ HttpTransport::workerLoop()
         } catch (const std::exception &) {
             // Peer I/O failures close that connection; the worker and
             // every other connection are unaffected.
-            metrics_.onConnectionClosed();
+            metrics_.connectionsActive.add(-1);
         }
     }
 }
@@ -156,7 +156,7 @@ HttpTransport::workerLoop()
 void
 HttpTransport::serveConnection(net::Socket socket)
 {
-    metrics_.onConnectionOpened();
+    metrics_.connectionsActive.add(1);
     HttpRequestParser::Limits limits;
     limits.maxBodyBytes = config_.maxBodyBytes;
     HttpRequestParser parser(limits);
@@ -186,7 +186,7 @@ HttpTransport::serveConnection(net::Socket socket)
             parser.feed(std::string_view(buffer, n));
         while (state == HttpRequestParser::State::Ready) {
             const HttpRequest &request = parser.request();
-            metrics_.onRequest();
+            metrics_.requests.inc();
             const auto started = std::chrono::steady_clock::now();
 
             // Trace identity: accept the caller's ID when valid;
@@ -258,8 +258,8 @@ HttpTransport::serveConnection(net::Socket socket)
                         std::string(wire::kMediaType) + ")",
                     ctx.traceId);
             ctx.accept = negotiated.format;
-            metrics_.onWireFormat(ctx.binaryBody ||
-                                  ctx.wantsBinary());
+            metrics_.wireRequests[ctx.binaryBody || ctx.wantsBinary()]
+                .inc();
 
             // Handlers and the engine submit path record their spans
             // through the thread-local context.
@@ -271,7 +271,8 @@ HttpTransport::serveConnection(net::Socket socket)
                                         : router_.dispatch(ctx);
             const Endpoint endpoint = endpointFor(request.path());
             const double elapsed = millisSince(started);
-            metrics_.recordLatency(endpoint, elapsed);
+            metrics_.latency[static_cast<std::size_t>(endpoint)].observe(
+                elapsed);
             metrics_.onResponse(response.status);
             if (!ctx.traceId.empty())
                 response.set("X-Hiermeans-Trace", ctx.traceId);
@@ -300,8 +301,8 @@ HttpTransport::serveConnection(net::Socket socket)
         // either way the offender gets its 400-class answer before the
         // connection closes.
         if (state == HttpRequestParser::State::Error) {
-            metrics_.onRequest();
-            metrics_.onMalformed();
+            metrics_.requests.inc();
+            metrics_.malformed.inc();
             ApiError code = ApiError::BadRequest;
             if (parser.errorStatus() == 413)
                 code = ApiError::BodyTooLarge;
@@ -318,7 +319,7 @@ HttpTransport::serveConnection(net::Socket socket)
             break;
         }
     }
-    metrics_.onConnectionClosed();
+    metrics_.connectionsActive.add(-1);
 }
 
 } // namespace server

@@ -64,9 +64,9 @@ TEST_F(EngineFaultTest, FailedCacheInsertStillServesTheResult)
     const ScoreResult result = engine.submit(makeRequest()).get();
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_FALSE(result.cacheHit);
-    const MetricsSnapshot snap = engine.metrics().snapshot();
-    EXPECT_EQ(snap.cacheInsertFailures, 1u);
-    EXPECT_EQ(snap.failures, 0u)
+    const EngineMetrics &counters = engine.metrics();
+    EXPECT_EQ(counters.cacheInsertFailures.value(), 1u);
+    EXPECT_EQ(counters.failures.value(), 0u)
         << "a dead cache insert is not a request failure";
     EXPECT_EQ(engine.cache().size(), 0u);
 }
@@ -85,9 +85,9 @@ TEST_F(EngineFaultTest, FailedCacheInsertDoesNotWedgeTheFlightTable)
                                << result.error;
         EXPECT_FALSE(result.cacheHit);
     }
-    const MetricsSnapshot snap = engine.metrics().snapshot();
-    EXPECT_EQ(snap.executions, 3u);
-    EXPECT_EQ(snap.cacheInsertFailures, 3u);
+    const EngineMetrics &counters = engine.metrics();
+    EXPECT_EQ(counters.executions.value(), 3u);
+    EXPECT_EQ(counters.cacheInsertFailures.value(), 3u);
 }
 
 TEST_F(EngineFaultTest, ConcurrentTwinsStillCollapseWhenInsertFails)
@@ -103,13 +103,13 @@ TEST_F(EngineFaultTest, ConcurrentTwinsStillCollapseWhenInsertFails)
     for (auto &future : futures)
         ok += future.get().ok ? 1 : 0;
     EXPECT_EQ(ok, futures.size());
-    const MetricsSnapshot snap = engine.metrics().snapshot();
-    EXPECT_EQ(snap.requests, 12u);
+    const EngineMetrics &counters = engine.metrics();
+    EXPECT_EQ(counters.requests.value(), 12u);
     // Nothing is ever cached, so every request either executed or
     // piggybacked on an in-flight twin — and nobody deadlocked.
-    EXPECT_EQ(snap.cacheHits, 0u);
-    EXPECT_EQ(snap.executions + snap.dedupedInFlight, 12u);
-    EXPECT_GE(snap.dedupedInFlight, 1u)
+    EXPECT_EQ(counters.cacheHits.value(), 0u);
+    EXPECT_EQ(counters.executions.value() + counters.dedupedInFlight.value(), 12u);
+    EXPECT_GE(counters.dedupedInFlight.value(), 1u)
         << "single-flight must still collapse concurrent twins";
 }
 
@@ -121,7 +121,7 @@ TEST_F(EngineFaultTest, InjectedTaskFailureIsIsolatedAndCounted)
     EXPECT_FALSE(failed.ok);
     EXPECT_NE(failed.error.find("injected"), std::string::npos)
         << failed.error;
-    EXPECT_EQ(engine.metrics().snapshot().failures, 1u);
+    EXPECT_EQ(engine.metrics().failures.value(), 1u);
 
     // `once` has burnt out: the identical request now succeeds, fresh
     // (the failure must not have been cached).
@@ -143,7 +143,7 @@ TEST_F(EngineFaultTest, EveryNthTaskFailureLeavesTheRestAlone)
     }
     EXPECT_EQ(ok, 3u);
     EXPECT_EQ(failed, 3u);
-    EXPECT_EQ(engine.metrics().snapshot().failures, 3u);
+    EXPECT_EQ(engine.metrics().failures.value(), 3u);
 }
 
 } // namespace

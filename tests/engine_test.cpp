@@ -112,10 +112,10 @@ TEST(EngineTest, CacheHitReturnsBitIdenticalReport)
     // The analysis is shared, not recomputed.
     EXPECT_EQ(second.analysis.get(), first.analysis.get());
 
-    const MetricsSnapshot snap = engine.metrics().snapshot();
-    EXPECT_EQ(snap.requests, 2u);
-    EXPECT_EQ(snap.executions, 1u);
-    EXPECT_EQ(snap.cacheHits, 1u);
+    const EngineMetrics &counters = engine.metrics();
+    EXPECT_EQ(counters.requests.value(), 2u);
+    EXPECT_EQ(counters.executions.value(), 1u);
+    EXPECT_EQ(counters.cacheHits.value(), 1u);
 }
 
 TEST(EngineTest, InFlightDedupeRunsThePipelineOnce)
@@ -146,11 +146,11 @@ TEST(EngineTest, InFlightDedupeRunsThePipelineOnce)
     EXPECT_TRUE(result_b.deduped);
     expectBitIdentical(result_a.report, result_b.report);
 
-    const MetricsSnapshot snap = engine.metrics().snapshot();
-    EXPECT_EQ(snap.requests, 2u);
-    EXPECT_EQ(snap.executions, 1u);
-    EXPECT_EQ(snap.dedupedInFlight, 1u);
-    EXPECT_EQ(snap.cacheHits, 0u);
+    const EngineMetrics &counters = engine.metrics();
+    EXPECT_EQ(counters.requests.value(), 2u);
+    EXPECT_EQ(counters.executions.value(), 1u);
+    EXPECT_EQ(counters.dedupedInFlight.value(), 1u);
+    EXPECT_EQ(counters.cacheHits.value(), 0u);
 }
 
 TEST(EngineTest, FailuresAreIsolatedPerRequest)
@@ -181,7 +181,7 @@ TEST(EngineTest, FailuresAreIsolatedPerRequest)
     EXPECT_EQ(results[2].id, "good-after");
     EXPECT_TRUE(results[2].ok) << results[2].error;
 
-    EXPECT_EQ(engine.metrics().snapshot().failures, 1u);
+    EXPECT_EQ(engine.metrics().failures.value(), 1u);
 }
 
 TEST(EngineTest, FailedRequestsAreNotCached)
@@ -194,7 +194,7 @@ TEST(EngineTest, FailedRequestsAreNotCached)
     const ScoreResult second = engine.submit(bad).get();
     EXPECT_FALSE(second.ok);
     EXPECT_FALSE(second.cacheHit);
-    EXPECT_EQ(engine.metrics().snapshot().executions, 2u);
+    EXPECT_EQ(engine.metrics().executions.value(), 2u);
 }
 
 TEST(EngineTest, QueueExpiredRequestsTimeOutWithoutExecuting)
@@ -220,9 +220,9 @@ TEST(EngineTest, QueueExpiredRequestsTimeOutWithoutExecuting)
     EXPECT_TRUE(result.timedOut);
     EXPECT_NE(result.error.find("timed out"), std::string::npos)
         << result.error;
-    const MetricsSnapshot snap = engine.metrics().snapshot();
-    EXPECT_EQ(snap.timeouts, 1u);
-    EXPECT_EQ(snap.executions, 0u); // never reached the pipeline.
+    const EngineMetrics &counters = engine.metrics();
+    EXPECT_EQ(counters.timeouts.value(), 1u);
+    EXPECT_EQ(counters.executions.value(), 0u); // never reached the pipeline.
 }
 
 TEST(EngineTest, OverrunningExecutionTimesOutCooperatively)
@@ -241,9 +241,9 @@ TEST(EngineTest, OverrunningExecutionTimesOutCooperatively)
 
     EXPECT_FALSE(result.ok);
     EXPECT_TRUE(result.timedOut);
-    const MetricsSnapshot snap = engine.metrics().snapshot();
-    EXPECT_EQ(snap.timeouts, 1u);
-    EXPECT_EQ(snap.executions, 1u); // it ran, then overran.
+    const EngineMetrics &counters = engine.metrics();
+    EXPECT_EQ(counters.timeouts.value(), 1u);
+    EXPECT_EQ(counters.executions.value(), 1u); // it ran, then overran.
 
     // Timed-out results must not poison the cache: the identical
     // request (deadlines are not part of the fingerprint) without a
@@ -280,11 +280,11 @@ TEST(EngineTest, CacheEvictsUnderPressureAndStaysBounded)
     EXPECT_TRUE(recent.cacheHit);
 
     const std::uint64_t executions_before =
-        engine.metrics().snapshot().executions;
+        engine.metrics().executions.value();
     const ScoreResult evicted = engine.submit(makeRequest(0)).get();
     ASSERT_TRUE(evicted.ok);
     EXPECT_FALSE(evicted.cacheHit);
-    EXPECT_EQ(engine.metrics().snapshot().executions,
+    EXPECT_EQ(engine.metrics().executions.value(),
               executions_before + 1);
 }
 
@@ -381,12 +381,12 @@ TEST(EngineTest, ConcurrentMixedBatchCompletes)
         ok += future.get().ok ? 1 : 0;
     EXPECT_EQ(ok, futures.size());
 
-    const MetricsSnapshot snap = engine.metrics().snapshot();
-    EXPECT_EQ(snap.requests, 24u);
+    const EngineMetrics &counters = engine.metrics();
+    EXPECT_EQ(counters.requests.value(), 24u);
     // Each distinct fingerprint executed exactly once; the other 18
     // requests were served by the cache or by in-flight dedupe.
-    EXPECT_EQ(snap.executions, 6u);
-    EXPECT_EQ(snap.cacheHits + snap.dedupedInFlight, 18u);
+    EXPECT_EQ(counters.executions.value(), 6u);
+    EXPECT_EQ(counters.cacheHits.value() + counters.dedupedInFlight.value(), 18u);
 }
 
 } // namespace

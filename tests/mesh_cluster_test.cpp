@@ -19,11 +19,13 @@
 
 #include "src/client/cluster_client.h"
 #include "src/mesh/runtime.h"
+#include "src/obs/prometheus.h"
 #include "src/server/client.h"
 #include "src/server/json.h"
 #include "src/server/server.h"
 #include "src/util/file.h"
 #include "src/util/net.h"
+#include "tests/metric_docs.h"
 
 namespace {
 
@@ -261,6 +263,45 @@ TEST_F(MeshClusterTest, ClusterEndpointReportsMembership)
         for (int n = 0; n < kNodes; ++n)
             EXPECT_NE(body.find("\"id\":\"" + idOf(n) + "\""),
                       std::string::npos);
+    }
+}
+
+TEST_F(MeshClusterTest, MetricsCarryEveryMeshFamilyAndLintClean)
+{
+    static const char *const kMeshFamilies[] = {
+        "hiermeans_mesh_nodes",
+        "hiermeans_mesh_peers_alive",
+        "hiermeans_mesh_forwards_total",
+        "hiermeans_mesh_forward_failures_total",
+        "hiermeans_mesh_redirects_total",
+        "hiermeans_mesh_failovers_total",
+        "hiermeans_mesh_replication_batches_total",
+        "hiermeans_mesh_replication_records_total",
+        "hiermeans_mesh_replication_bytes_total",
+        "hiermeans_mesh_replication_failures_total",
+        "hiermeans_mesh_snapshot_installs_total",
+        "hiermeans_mesh_apply_batches_total",
+        "hiermeans_mesh_apply_records_total",
+        "hiermeans_mesh_follower_acked_sequence",
+        "hiermeans_mesh_replica_sequence"};
+    for (int i = 0; i < kNodes; ++i) {
+        server::HttpClient c("127.0.0.1", portOf(i));
+        const Response metrics = c.roundTrip("GET", "/metrics");
+        ASSERT_EQ(metrics.status, 200);
+        for (const char *family : kMeshFamilies)
+            EXPECT_NE(metrics.body.find(std::string("# TYPE ") + family +
+                                        " "),
+                      std::string::npos)
+                << "node " << idOf(i) << " lacks " << family;
+        // Three configured members, all alive once the mesh converged.
+        EXPECT_NE(metrics.body.find("hiermeans_mesh_nodes 3\n"),
+                  std::string::npos);
+        EXPECT_NE(metrics.body.find("hiermeans_mesh_peers_alive 3\n"),
+                  std::string::npos);
+        for (const std::string &issue : obs::lintExposition(metrics.body))
+            ADD_FAILURE() << "node " << idOf(i)
+                          << " exposition lint: " << issue;
+        expectFamiliesDocumented(metrics.body);
     }
 }
 

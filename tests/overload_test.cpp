@@ -214,10 +214,10 @@ TEST(EnginePurgeTest, CancelledEntryIsPurgedAtDequeueWithoutRunning)
     EXPECT_TRUE(result.cancelled);
     EXPECT_FALSE(result.timedOut) << "pure cancel, not a deadline";
 
-    const engine::MetricsSnapshot snap = engine.metrics().snapshot();
-    EXPECT_EQ(snap.executions, 0u)
+    const engine::EngineMetrics &counters = engine.metrics();
+    EXPECT_EQ(counters.executions.value(), 0u)
         << "a purged entry must never run the pipeline";
-    EXPECT_GE(snap.cancellations, 1u);
+    EXPECT_GE(counters.cancellations.value(), 1u);
 }
 
 TEST(EnginePurgeTest, ExpiredDeadlineEntryCountsAsTimeout)
@@ -238,8 +238,8 @@ TEST(EnginePurgeTest, ExpiredDeadlineEntryCountsAsTimeout)
     EXPECT_FALSE(result.ok);
     EXPECT_TRUE(result.timedOut)
         << "an expired deadline classifies as a timeout";
-    const engine::MetricsSnapshot snap = engine.metrics().snapshot();
-    EXPECT_EQ(snap.executions, 0u);
+    const engine::EngineMetrics &counters = engine.metrics();
+    EXPECT_EQ(counters.executions.value(), 0u);
 }
 
 TEST(EnginePurgeTest, UncancelledTokenRunsNormally)
@@ -469,10 +469,10 @@ TEST_F(OverloadServerTest, SpentDeadlineIsShedBeforeTheEngine)
     EXPECT_EQ(shed.status, 504) << shed.body;
     EXPECT_NE(shed.body.find("deadline_expired"), std::string::npos)
         << shed.body;
-    const auto snap = server_->metrics().snapshot(0, 1);
-    EXPECT_GE(snap.deadlineExpired, 1u);
-    const auto engine_snap = server_->engine().metrics().snapshot();
-    EXPECT_EQ(engine_snap.requests, 0u)
+    const server::ServerMetrics &counters = server_->metrics();
+    EXPECT_GE(counters.deadlineExpired.value(), 1u);
+    const engine::EngineMetrics &engine_counters = server_->engine().metrics();
+    EXPECT_EQ(engine_counters.requests.value(), 0u)
         << "an expired request must never reach the engine";
 }
 
@@ -510,8 +510,8 @@ TEST_F(OverloadServerTest, GenerousDeadlineIsAdmittedAndAnswered)
         "POST", "/v1/score", line("seed=30 timeout-ms=0.000001"),
         "text/plain", {{"X-Hiermeans-Deadline", "60000"}});
     EXPECT_EQ(tighter.status, 504) << tighter.body;
-    const auto snap = server_->metrics().snapshot(0, 1);
-    EXPECT_EQ(snap.deadlineMisses, 0u);
+    const server::ServerMetrics &counters = server_->metrics();
+    EXPECT_EQ(counters.deadlineMisses.value(), 0u);
 }
 
 TEST_F(OverloadServerTest, DrainShedsScoringAndFlipsHealth)
@@ -537,9 +537,9 @@ TEST_F(OverloadServerTest, DrainShedsScoringAndFlipsHealth)
            "and peers stop routing here";
     EXPECT_EQ(health.header("x-hiermeans-health", ""), "draining");
 
-    const auto snap = server_->metrics().snapshot(0, 1);
-    EXPECT_GE(snap.drainSheds, 1u);
-    EXPECT_TRUE(snap.draining);
+    const server::ServerMetrics &counters = server_->metrics();
+    EXPECT_GE(counters.drainSheds.value(), 1u);
+    EXPECT_TRUE(server_->draining());
 }
 
 TEST_F(OverloadServerTest, DrainIsOneWayAndIdempotent)

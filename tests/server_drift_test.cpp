@@ -181,7 +181,7 @@ TEST_F(ServerDriftTest, ObserveAppendsHistoryWithoutThePipeline)
         c.roundTrip("GET", "/v1/history?suite=stream");
     ASSERT_EQ(history.status, 200);
     EXPECT_EQ(server::json::findNumber(history.body, "count"), 2.0);
-    EXPECT_EQ(server_->engine().metrics().snapshot().executions, 0u)
+    EXPECT_EQ(server_->engine().metrics().executions.value(), 0u)
         << "observations must never run the scoring pipeline";
 }
 

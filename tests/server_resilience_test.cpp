@@ -156,8 +156,8 @@ TEST_F(ServerResilienceTest, FullGateServesStaleCachedScores)
     EXPECT_EQ(shed.header("retry-after", ""), "1");
 
     drainGate(held);
-    const auto snapshot = server_->metrics().snapshot(0, 1);
-    EXPECT_GE(snapshot.staleServed, 1u);
+    const server::ServerMetrics &counters = server_->metrics();
+    EXPECT_GE(counters.staleServed.value(), 1u);
 }
 
 TEST_F(ServerResilienceTest, StaleServingCanBeDisabled)
@@ -221,9 +221,9 @@ TEST_F(ServerResilienceTest, WatchdogRescuesAStuckWorkerWith504)
     EXPECT_NE(response.body.find("watchdog"), std::string::npos)
         << response.body;
 
-    const auto snapshot = server_->metrics().snapshot(0, 1);
-    EXPECT_GE(snapshot.watchdogTrips, 1u);
-    EXPECT_GE(snapshot.timeouts504, 1u);
+    const server::ServerMetrics &counters = server_->metrics();
+    EXPECT_GE(counters.watchdogTrips.value(), 1u);
+    EXPECT_GE(counters.timeouts.value(), 1u);
 
     // The rescued connection keeps serving; the wedged engine task is
     // somebody else's (abandoned) problem.
@@ -255,7 +255,7 @@ TEST_F(WatchdogTest, TokenExpiresPastTheDefaultBudget)
     EXPECT_EQ(response.status, 504) << response.body;
     EXPECT_NE(response.body.find("watchdog_timeout"), std::string::npos)
         << response.body;
-    EXPECT_GE(server_->metrics().snapshot(0, 1).watchdogTrips, 1u);
+    EXPECT_GE(server_->metrics().watchdogTrips.value(), 1u);
     fault::reset();
 }
 
@@ -291,9 +291,9 @@ TEST_F(WatchdogTest, TokenReleasedInTimeNeverTrips)
         "POST", "/v1/score", line("seed=87 timeout-ms=10000"));
     EXPECT_EQ(response.status, 200) << response.body;
     fault::reset();
-    const auto snapshot = server_->metrics().snapshot(0, 1);
-    EXPECT_EQ(snapshot.watchdogTrips, 0u);
-    EXPECT_EQ(snapshot.timeouts504, 0u);
+    const server::ServerMetrics &counters = server_->metrics();
+    EXPECT_EQ(counters.watchdogTrips.value(), 0u);
+    EXPECT_EQ(counters.timeouts.value(), 0u);
 }
 
 TEST_F(WatchdogTest, ZeroBudgetDisablesExpiry)
@@ -308,7 +308,7 @@ TEST_F(WatchdogTest, ZeroBudgetDisablesExpiry)
     const Response response =
         c.roundTrip("POST", "/v1/score", line("seed=85"));
     EXPECT_EQ(response.status, 200) << response.body;
-    EXPECT_EQ(server_->metrics().snapshot(0, 1).watchdogTrips, 0u);
+    EXPECT_EQ(server_->metrics().watchdogTrips.value(), 0u);
     fault::reset();
 }
 
@@ -414,11 +414,11 @@ TEST_F(ServerResilienceTest, BreakerOpensAfterConsecutiveFailures)
     EXPECT_EQ(fast.status, 503);
     EXPECT_FALSE(fast.header("retry-after", "").empty());
 
-    const auto snapshot = server_->metrics().snapshot(0, 1);
-    EXPECT_GE(snapshot.breakerFastFail, 1u);
+    const server::ServerMetrics &counters = server_->metrics();
+    EXPECT_GE(counters.breakerFastFails.value(), 1u);
     EXPECT_GE(server_->breaker().opens(), 1u);
-    // The /metrics body carries the breaker gauges (the Server fills
-    // them in; a bare ServerMetrics snapshot cannot).
+    // The /metrics body carries the breaker gauges (the Server
+    // declares them; ServerMetrics alone does not).
     const Response rendered = c.roundTrip("GET", "/metrics");
     ASSERT_EQ(rendered.status, 200);
     EXPECT_NE(rendered.body.find(

@@ -17,6 +17,7 @@
 #include "src/server/json.h"
 #include "src/server/server.h"
 #include "src/util/file.h"
+#include "tests/metric_docs.h"
 
 namespace {
 
@@ -296,9 +297,9 @@ TEST_F(ServerStoreTest, WarmStartServesRecoveredScoresFromCache)
         << "a restarted daemon must not re-execute the pipeline";
     EXPECT_EQ(server::json::findNumber(warmed.body, "ratio"), ratio)
         << "the recovered score must be bit-identical";
-    EXPECT_EQ(server_->engine().metrics().snapshot().executions, 0u)
+    EXPECT_EQ(server_->engine().metrics().executions.value(), 0u)
         << "the warm hit must not re-run the pipeline";
-    EXPECT_EQ(server_->engine().metrics().snapshot().cacheHits, 1u);
+    EXPECT_EQ(server_->engine().metrics().cacheHits.value(), 1u);
 
     // The cache hit is visible in /metrics, as is the warm count.
     const Response metrics = c2.roundTrip("GET", "/metrics");
@@ -340,7 +341,8 @@ TEST_F(ServerStoreTest, StoreMetricsAreExposedAndLintClean)
                              "hiermeans_store_wal_size_bytes",
                              "hiermeans_store_recovery_outcome",
                              "hiermeans_store_last_sequence",
-                             "hiermeans_store_history_entries"})
+                             "hiermeans_store_history_entries",
+                             "hiermeans_store_suites"})
         EXPECT_NE(metrics.body.find(name), std::string::npos) << name;
     EXPECT_NE(metrics.body.find("state=\"clean_start\"} 1"),
               std::string::npos)
@@ -349,6 +351,7 @@ TEST_F(ServerStoreTest, StoreMetricsAreExposedAndLintClean)
         obs::lintExposition(metrics.body);
     for (const std::string &issue : issues)
         ADD_FAILURE() << "exposition lint: " << issue;
+    expectFamiliesDocumented(metrics.body);
 }
 
 TEST_F(ServerStoreTest, WithoutADataDirStoreEndpointsAnswer503)

@@ -357,11 +357,11 @@ runSchedule(const Workbench &bench,
     // The drain runs with faults still armed — chaos the exit too.
     server.stop();
 
-    const server::ServerMetricsSnapshot snap =
-        server.metrics().snapshot(0, 0);
+    const server::ServerMetrics &metrics = server.metrics();
     outcome.serverInvariantOk =
-        snap.requests ==
-        snap.responses2xx + snap.responses4xx + snap.responses5xx;
+        metrics.requests.value() == metrics.responses[0].value() +
+                                        metrics.responses[1].value() +
+                                        metrics.responses[2].value();
 
     for (std::size_t c = 0; c < clients; ++c) {
         outcome.mismatches += mismatches[c];
@@ -388,11 +388,11 @@ runSchedule(const Workbench &bench,
     if (verbose) {
         std::cout << "schedule " << index << ": " << outcome.spec
                   << "\n  requests=" << outcome.requests
-                  << " 2xx=" << snap.responses2xx
-                  << " 4xx=" << snap.responses4xx
-                  << " 5xx=" << snap.responses5xx
-                  << " stale=" << snap.staleServed
-                  << " watchdog=" << snap.watchdogTrips
+                  << " 2xx=" << metrics.responses[0].value()
+                  << " 4xx=" << metrics.responses[1].value()
+                  << " 5xx=" << metrics.responses[2].value()
+                  << " stale=" << metrics.staleServed.value()
+                  << " watchdog=" << metrics.watchdogTrips.value()
                   << " mismatches=" << outcome.mismatches
                   << " unanswered=" << outcome.unanswered << "\n";
         std::cout << "  store: recovery=" << outcome.recovery

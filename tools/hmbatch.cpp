@@ -182,7 +182,7 @@ run(const util::CommandLine &cl)
               << " pass(es)\n";
     if (!quiet) {
         std::cout << "\nengine metrics:\n"
-                  << engine.metrics().render();
+                  << engine.metrics().registry().render();
     }
 
     const std::string out_path = cl.getString("out", "");

@@ -37,8 +37,6 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,8 +60,8 @@ flagSpec()
         .flag("metrics", "", "GET /metrics; print the metrics body")
         .flag("check", "",
               "GET /metrics and lint the Prometheus exposition\n"
-              "format, wire-version advertisement and the\n"
-              "generator-family registration counters; on a\n"
+              "format (one-hot state gauges included) and that\n"
+              "every series this build declares is served; on a\n"
               "store daemon also cross-check that every\n"
               "drift-tracked suite is still registered; on a\n"
               "mesh daemon also lint the /v1/cluster payload,\n"
@@ -243,116 +241,6 @@ renderDriftTable(const std::vector<std::string> &reports)
         });
     }
     return table.render();
-}
-
-
-/**
- * Lint the hiermeans_drift_* family of a /metrics body: every suite's
- * staleness gauge must be one-hot over fresh|drifting|stale, and each
- * suite carrying a state must also expose the churn / stability /
- * qe_ratio gauges. A body without the family (drift off) is clean.
- */
-std::vector<std::string>
-lintDriftExposition(const std::string &body)
-{
-    std::vector<std::string> issues;
-    // suite -> sum of the three hiermeans_drift_state series.
-    std::map<std::string, double> one_hot;
-    std::istringstream in(body);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("hiermeans_drift_state{", 0) != 0)
-            continue;
-        const std::size_t suite_at = line.find("suite=\"");
-        const std::size_t value_at = line.rfind('}');
-        if (suite_at == std::string::npos ||
-            value_at == std::string::npos) {
-            issues.push_back("drift: malformed series: " + line);
-            continue;
-        }
-        const std::size_t name_start = suite_at + 7;
-        const std::size_t name_end = line.find('"', name_start);
-        const std::string suite =
-            line.substr(name_start, name_end - name_start);
-        try {
-            one_hot[suite] += std::stod(line.substr(value_at + 1));
-        } catch (const std::exception &) {
-            issues.push_back("drift: non-numeric value: " + line);
-        }
-    }
-    for (const auto &[suite, sum] : one_hot) {
-        if (sum != 1.0)
-            issues.push_back("drift: suite `" + suite +
-                             "` staleness gauge is not one-hot (sum=" +
-                             server::json::number(sum) + ")");
-        for (const char *gauge :
-             {"hiermeans_drift_churn", "hiermeans_drift_stability",
-              "hiermeans_drift_qe_ratio"}) {
-            const std::string series =
-                std::string(gauge) + "{suite=\"" + suite + "\"}";
-            if (body.find(series) == std::string::npos)
-                issues.push_back("drift: suite `" + suite +
-                                 "` missing " + gauge);
-        }
-    }
-    return issues;
-}
-
-
-/**
- * Lint the wire-format family of a /metrics body: the
- * hiermeans_wire_requests_total counter must carry both format
- * labels (json and binary), and hiermeans_wire_supported must
- * advertise the wire version this build's clients lead with —
- * the signal an operator checks before rolling binary-default
- * clients against a node.
- */
-std::vector<std::string>
-lintWireExposition(const std::string &body)
-{
-    std::vector<std::string> issues;
-    for (const char *series :
-         {"hiermeans_wire_requests_total{format=\"json\"}",
-          "hiermeans_wire_requests_total{format=\"binary\"}"}) {
-        if (body.find(series) == std::string::npos)
-            issues.push_back(std::string("wire: missing series ") +
-                             series);
-    }
-    const std::string version =
-        std::to_string(static_cast<unsigned>(wire::kWireVersion));
-    if (body.find("hiermeans_wire_supported{version=\"" + version +
-                  "\"}") == std::string::npos)
-        issues.push_back(
-            "wire: exposition does not advertise wire version " +
-            version);
-    return issues;
-}
-
-
-/**
- * Lint the generator family of a /metrics body: the per-family
- * registration counter must be pre-seeded for the whole bounded label
- * set (the four family names plus "other") — a missing series means
- * dashboards silently read "no registrations" as "no metric" — and a
- * store-enabled daemon must expose the hiermeans_store_suites gauge
- * the registration counters are read against.
- */
-std::vector<std::string>
-lintGenExposition(const std::string &body)
-{
-    std::vector<std::string> issues;
-    for (const std::string &family : gen::genMetricLabels()) {
-        const std::string series =
-            "hiermeans_gen_registrations_total{family=\"" + family +
-            "\"}";
-        if (body.find(series) == std::string::npos)
-            issues.push_back("gen: missing series " + series);
-    }
-    if (body.find("hiermeans_store_") != std::string::npos &&
-        body.find("hiermeans_store_suites") == std::string::npos)
-        issues.push_back(
-            "gen: store daemon without hiermeans_store_suites gauge");
-    return issues;
 }
 
 
@@ -544,15 +432,16 @@ run(const util::CommandLine &cl)
         for (const std::string &issue :
              obs::lintExposition(outcome.response.body))
             issues.push_back("exposition: " + issue);
-        for (const std::string &issue :
-             lintDriftExposition(outcome.response.body))
-            issues.push_back(issue);
-        for (const std::string &issue :
-             lintWireExposition(outcome.response.body))
-            issues.push_back(issue);
-        for (const std::string &issue :
-             lintGenExposition(outcome.response.body))
-            issues.push_back(issue);
+        // Every series this build's server and engine declare must be
+        // served (zero-valued ones included), e.g. each generator
+        // family's registration counter and the wire version.
+        const server::ServerMetrics server_declared;
+        const engine::EngineMetrics engine_declared;
+        for (const obs::Registry *declared :
+             {&server_declared.registry(), &engine_declared.registry()})
+            for (const std::string &issue :
+                 obs::missingSeries(*declared, outcome.response.body))
+                issues.push_back("exposition: " + issue);
         // Registry cross-check: every suite the drift monitor tracks
         // must still be registered — a monitor outliving its suite
         // serves staleness for ghosts. Both endpoints answer 503

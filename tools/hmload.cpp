@@ -56,6 +56,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <mutex>
@@ -195,7 +196,9 @@ struct Tally
     std::atomic<std::uint64_t> backoffMicros{0};
     std::atomic<std::uint64_t> requestBytes{0};  ///< bodies sent.
     std::atomic<std::uint64_t> responseBytes{0}; ///< bodies received.
-    engine::LatencyHistogram latency;
+    /** Wall time (ms) per answered request, for exact percentiles. */
+    std::mutex latencyMutex;
+    std::vector<double> latencies;
 
     /** (latency ms, trace ID) per answered request under --trace. */
     std::mutex tracedMutex;
@@ -261,7 +264,10 @@ worker(const client::ClusterClient::Config &config,
         ++tally.requests;
         tally.requestBytes += outcome.requestBodyBytes;
         tally.responseBytes += outcome.responseBodyBytes;
-        tally.latency.record(elapsed.count());
+        {
+            std::lock_guard<std::mutex> lock(tally.latencyMutex);
+            tally.latencies.push_back(elapsed.count());
+        }
         if (deadline_ms > 0.0 && elapsed.count() > deadline_ms)
             ++tally.deadlineMisses;
         switch (outcome.apiError) {
@@ -422,6 +428,18 @@ run(const util::CommandLine &cl)
             ? static_cast<double>(requests) / elapsed.count()
             : 0.0;
 
+    // Nearest-rank percentiles: the smallest sample covering p percent
+    // of the requests (0 before the first answer).
+    std::sort(tally.latencies.begin(), tally.latencies.end());
+    const auto percentile = [&tally](double p) {
+        const std::vector<double> &sorted = tally.latencies;
+        if (sorted.empty())
+            return 0.0;
+        const auto rank = static_cast<std::size_t>(
+            std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
+        return sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)];
+    };
+
     // The slowest percentile's trace IDs (at least 1, at most 10):
     // the requests worth pulling span trees for.
     std::string slow_traces = "[";
@@ -558,11 +576,11 @@ run(const util::CommandLine &cl)
         server::json::number(
             static_cast<double>(tally.backoffMicros.load()) / 1000.0)
             .c_str(),
-        server::json::number(tally.latency.percentile(50.0)).c_str(),
-        server::json::number(tally.latency.percentile(95.0)).c_str(),
-        server::json::number(tally.latency.percentile(99.0)).c_str(),
-        server::json::number(tally.latency.percentile(99.9)).c_str(),
-        server::json::number(tally.latency.max()).c_str(),
+        server::json::number(percentile(50.0)).c_str(),
+        server::json::number(percentile(95.0)).c_str(),
+        server::json::number(percentile(99.0)).c_str(),
+        server::json::number(percentile(99.9)).c_str(),
+        server::json::number(percentile(100.0)).c_str(),
         server::json::number(elapsed.count()).c_str(),
         static_cast<unsigned long long>(concurrency),
         wire_format.c_str(),

@@ -5,7 +5,8 @@
  * Binds a POSIX listener, serves the manifest-line scoring API
  * (`POST /v1/score`, `POST /v1/batch`, `GET /metrics`, `GET /healthz`)
  * and runs until SIGINT/SIGTERM, at which point it stops accepting,
- * drains in-flight requests and prints a final metrics summary.
+ * drains in-flight requests and prints a final metrics summary: the
+ * same Prometheus document GET /metrics serves (`--quiet` skips it).
  *
  * Usage:
  *   hmserved [--port=8377] [--threads=4] [--queue-depth=8]
@@ -269,7 +270,7 @@ run(const util::CommandLine &cl)
         runtime->stop();
 
     if (!cl.getBool("quiet", false))
-        std::cout << "final metrics:\n" << server.renderMetrics();
+        std::cout << "final metrics:\n" << server.renderPrometheus();
     else
         std::cout << "final metrics: suppressed (--quiet)\n";
     return 0;

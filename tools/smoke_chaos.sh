@@ -400,7 +400,7 @@ grep -q "final metrics" "$LOG" || {
     cat "$LOG" >&2
     exit 1
 }
-grep -Eq "health state +draining" "$LOG" || {
+grep -Fq 'hiermeans_server_health_state{state="draining"} 1' "$LOG" || {
     echo "smoke_chaos: final metrics never flipped to draining" >&2
     cat "$LOG" >&2
     exit 1
