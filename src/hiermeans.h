@@ -146,7 +146,6 @@
 
 // mesh — multi-node cluster: ring sharding + WAL replication
 #include "src/mesh/config.h"
-#include "src/mesh/replica.h"
 #include "src/mesh/ring.h"
 #include "src/mesh/runtime.h"
 

@@ -135,18 +135,31 @@ MeshRuntime::start(store::StateStore *store)
     // can answer promoted reads before any replication arrives.
     if (!config_.dataDir.empty()) {
         std::lock_guard<std::mutex> lock(replicaMutex_);
-        for (const std::string &leader : followedLeaders()) {
-            auto replica = std::make_unique<ReplicaStore>(
-                ReplicaStore::Config{
-                    config_.dataDir + "/replica_" + leader, 1});
-            replica->open();
-            HM_LOG(Info) << "mesh: replica of `" << leader
-                         << "` recovered, seq="
-                         << replica->lastSequence();
-            replicas_.emplace(leader, std::move(replica));
-        }
+        for (const std::string &leader : followedLeaders())
+            openReplica(leader);
     }
     background_ = std::thread([this]() { backgroundLoop(); });
+}
+
+store::StateStore &
+MeshRuntime::openReplica(const std::string &leader)
+{
+    store::StateStore::Config config;
+    config.dataDir = config_.dataDir + "/replica_" + leader;
+    config.replicationTail = 0; // a mirror ships nothing onward.
+    auto replica = std::make_unique<store::StateStore>(config);
+    replica->open();
+    return *replicas_.emplace(leader, std::move(replica)).first->second;
+}
+
+std::map<std::string, store::RecoveryInfo>
+MeshRuntime::replicaRecoveries() const
+{
+    std::lock_guard<std::mutex> lock(replicaMutex_);
+    std::map<std::string, store::RecoveryInfo> recoveries;
+    for (const auto &[leader, replica] : replicas_)
+        recoveries.emplace(leader, replica->recovery());
+    return recoveries;
 }
 
 void
@@ -163,8 +176,14 @@ MeshRuntime::stop()
         background_.join();
     std::lock_guard<std::mutex> lock(replicaMutex_);
     for (auto &[leader, replica] : replicas_) {
-        (void)leader;
-        replica->close();
+        try {
+            replica->close();
+        } catch (const Error &e) {
+            // The WAL still holds every acked record.
+            HM_LOG(Warn) << "mesh: replica of `" << leader
+                         << "` closed without a final snapshot: "
+                         << e.what();
+        }
     }
 }
 
@@ -488,21 +507,15 @@ MeshRuntime::handleReplicate(const server::RequestContext &ctx)
             server::ApiError::StoreDisabled,
             "replicate: this node has no data directory", ctx.traceId);
 
-    ReplicaStore *replica = nullptr;
+    store::StateStore *replica = nullptr;
     {
         std::lock_guard<std::mutex> lock(replicaMutex_);
-        auto found = replicas_.find(leader);
-        if (found == replicas_.end()) {
-            // A leader we did not expect (ring drift is impossible
-            // with a shared config, but a lazily-created mirror is
-            // harmless and keeps the protocol robust).
-            auto fresh = std::make_unique<ReplicaStore>(
-                ReplicaStore::Config{
-                    config_.dataDir + "/replica_" + leader, 1});
-            fresh->open();
-            found = replicas_.emplace(leader, std::move(fresh)).first;
-        }
-        replica = found->second.get();
+        const auto found = replicas_.find(leader);
+        // A leader we did not expect (ring drift is impossible with a
+        // shared config, but a lazily-created mirror is harmless and
+        // keeps the protocol robust).
+        replica = found != replicas_.end() ? found->second.get()
+                                           : &openReplica(leader);
     }
 
     obs::ScopedSpan span("mesh.replicate.apply");

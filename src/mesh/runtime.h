@@ -20,8 +20,9 @@
  *     thread retries lagging followers and probes peer health.
  *   - *Failover.* When the ring owner of a suite is down, requests
  *     fail over clockwise to the first live replica; a surviving
- *     follower answers reads from its durable ReplicaStore image
- *     (replica.h) and accepts writes into its own store.
+ *     follower answers reads from its durable mirror of the leader
+ *     (a StateStore in `replica_<leader>/`, fed by applyFrames and
+ *     installSnapshot) and accepts writes into its own store.
  *
  * Everything here is deterministic given the same membership file:
  * every node computes the same ring, the same owners, and the same
@@ -44,7 +45,6 @@
 #include <vector>
 
 #include "src/mesh/config.h"
-#include "src/mesh/replica.h"
 #include "src/mesh/ring.h"
 #include "src/server/client.h"
 #include "src/server/cluster.h"
@@ -88,6 +88,10 @@ class MeshRuntime : public server::ClusterHooks
 
     /** Join the background thread and close the replica mirrors. */
     void stop();
+
+    /** What open() recovered for each mirror, by leader id (hmserved
+     *  prints it beside its own `store recovered:` line). */
+    std::map<std::string, store::RecoveryInfo> replicaRecoveries() const;
 
     const HashRing &ring() const { return ring_; }
     const MeshConfig &meshConfig() const { return config_.mesh; }
@@ -176,8 +180,13 @@ class MeshRuntime : public server::ClusterHooks
 
     std::map<std::string, std::unique_ptr<Peer>> peers_;
 
+    /** Open (and recover) the mirror of @p leader's store. Requires
+     *  replicaMutex_. */
+    store::StateStore &openReplica(const std::string &leader);
+
     mutable std::mutex replicaMutex_;
-    std::map<std::string, std::unique_ptr<ReplicaStore>> replicas_;
+    /** One durable mirror per followed leader. */
+    std::map<std::string, std::unique_ptr<store::StateStore>> replicas_;
 
     std::mutex stopMutex_;
     std::condition_variable stopCv_;

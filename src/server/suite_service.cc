@@ -10,6 +10,7 @@
 #include "src/server/wire_json.h"
 #include "src/util/error.h"
 #include "src/util/log.h"
+#include "src/util/str.h"
 #include "src/wire/wire.h"
 
 namespace hiermeans {
@@ -89,6 +90,24 @@ parseSuiteReference(const std::string &body)
     return ref;
 }
 
+/**
+ * Request lines of a stored manifest by parseManifest's line rule:
+ * trimmed, blank lines skipped, and `#` starting a comment only as a
+ * line's first non-blank character — so a `#` inside a value (an id,
+ * a CSV path) survives expansion exactly as registration checked it.
+ */
+std::vector<std::string>
+storedRequestLines(const std::string &manifest)
+{
+    std::vector<std::string> lines;
+    for (const std::string &raw : str::split(manifest, '\n')) {
+        std::string line = str::trim(raw);
+        if (!line.empty() && line.front() != '#')
+            lines.push_back(std::move(line));
+    }
+    return lines;
+}
+
 } // namespace
 
 std::vector<std::string>
@@ -123,11 +142,8 @@ SuiteService::open(const store::StateStore::Config &config)
         return recovery_;
     store_ = std::make_unique<store::StateStore>(config);
     recovery_ = store_->open();
-    HM_LOG(Info) << "store: " << config.dataDir << " recovered ("
-                 << store::recoveryOutcomeName(recovery_.outcome)
-                 << "), seq=" << recovery_.lastSequence
-                 << ", snapshot records=" << recovery_.snapshotRecords
-                 << ", wal applied=" << recovery_.walApplied;
+    HM_LOG(Info) << "store: " << config.dataDir << " recovered: "
+                 << store::describeRecovery(recovery_);
     return recovery_;
 }
 
@@ -229,7 +245,7 @@ SuiteService::expand(const RequestContext &ctx, const std::string &body)
     out.suite = ref.name;
     out.suiteVersion = stored->version;
     std::vector<std::string> stored_lines =
-        manifestLogicalLines(stored->manifest);
+        storedRequestLines(stored->manifest);
     if (ref.line > stored_lines.size()) {
         metrics_.malformed.inc();
         out.response = errorResponse(

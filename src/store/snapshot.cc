@@ -1,7 +1,5 @@
 #include "src/store/snapshot.h"
 
-#include <algorithm>
-
 #include "src/util/error.h"
 #include "src/util/fault.h"
 #include "src/util/file.h"
@@ -28,48 +26,29 @@ isSnapshotName(const std::string &name)
     return true;
 }
 
-/**
- * Decode one snapshot file into @p state. Returns false (leaving
- * @p state unspecified — the caller discards it) when the file is
- * torn, checksummed wrong, or structurally invalid.
- */
-bool
-loadSnapshotFile(const std::string &path, StoreState &state,
-                 SnapshotLoad &out)
-{
-    std::string data;
-    try {
-        data = util::readFile(path);
-    } catch (const Error &) {
-        return false;
-    }
-
-    FrameReader frames(data);
-    Record record;
-    if (!frames.next(record) ||
-        record.type != RecordType::SnapshotHeader)
-        return false;
-
-    try {
-        const SnapshotHeader header = decodeSnapshotHeader(record.payload);
-        state = StoreState(header.limits);
-        std::size_t records = 0;
-        while (frames.next(record)) {
-            state.apply(record);
-            ++records;
-        }
-        if (frames.sawCorruption())
-            return false;
-        state.setBaseline(header.lastSequence);
-        out.lastSequence = header.lastSequence;
-        out.records = records;
-        return true;
-    } catch (const Error &) {
-        return false;
-    }
-}
-
 } // namespace
+
+std::size_t
+decodeSnapshot(std::string_view image, StoreState &state)
+{
+    FrameReader frames(image);
+    Record record;
+    HM_REQUIRE(frames.next(record) &&
+                   record.type == RecordType::SnapshotHeader,
+               "snapshot image must start with a SnapshotHeader frame");
+    const SnapshotHeader header = decodeSnapshotHeader(record.payload);
+    StoreState decoded(header.limits);
+    std::size_t records = 0;
+    while (frames.next(record)) {
+        decoded.apply(record);
+        ++records;
+    }
+    HM_REQUIRE(!frames.sawCorruption(),
+               "snapshot image: corrupt frame: " << frames.corruption());
+    decoded.setBaseline(header.lastSequence);
+    state = std::move(decoded);
+    return records;
+}
 
 std::string
 snapshotFileName(std::uint64_t sequence)
@@ -113,17 +92,18 @@ loadLatestSnapshot(const std::string &dir, StoreState &state)
     SnapshotLoad load;
     std::vector<std::string> names = listSnapshots(dir);
     for (auto it = names.rbegin(); it != names.rend(); ++it) {
-        StoreState candidate;
-        if (loadSnapshotFile(dir + "/" + *it, candidate, load)) {
-            state = std::move(candidate);
-            load.loaded = true;
-            load.file = *it;
-            return load;
+        try {
+            load.records =
+                decodeSnapshot(util::readFile(dir + "/" + *it), state);
+        } catch (const Error &) {
+            load.rejected.push_back(*it);
+            continue;
         }
-        load.rejected.push_back(*it);
+        load.loaded = true;
+        load.file = *it;
+        load.lastSequence = state.baseline();
+        return load;
     }
-    load.lastSequence = 0;
-    load.records = 0;
     return load;
 }
 

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/store/state.h"
@@ -40,6 +41,17 @@ std::vector<std::string> listSnapshots(const std::string &dir);
  */
 std::string writeSnapshot(const std::string &dir, const StoreState &state);
 
+/**
+ * Decode a snapshot image — a SnapshotHeader frame followed by the
+ * canonical body, i.e. the bytes of a snapshot file — into @p state:
+ * the header's limits replace the state's, the body is applied record
+ * by record, and the baseline is set to the header's last sequence.
+ * Returns the number of body records applied. Throws InvalidArgument
+ * (leaving @p state untouched) when the image is torn, fails a CRC
+ * or does not decode.
+ */
+std::size_t decodeSnapshot(std::string_view image, StoreState &state);
+
 /** What loadLatestSnapshot did. */
 struct SnapshotLoad
 {
@@ -51,12 +63,10 @@ struct SnapshotLoad
 };
 
 /**
- * Load the newest valid snapshot in @p dir into @p state (which must
- * be fresh): the header's limits replace the state's, the body is
- * applied record by record, and the baseline is set to the header's
- * last sequence so a WAL tail overlapping the snapshot double-applies
- * nothing. Corrupt snapshots are skipped (recorded in `rejected`),
- * falling back to the next-newest.
+ * Load the newest valid snapshot in @p dir into @p state through
+ * decodeSnapshot; its baseline makes a WAL tail overlapping the
+ * snapshot double-apply nothing. Corrupt snapshots are skipped
+ * (recorded in `rejected`), falling back to the next-newest.
  */
 SnapshotLoad loadLatestSnapshot(const std::string &dir, StoreState &state);
 

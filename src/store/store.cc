@@ -26,6 +26,16 @@ recoveryOutcomeName(RecoveryOutcome outcome)
     return "unknown";
 }
 
+std::string
+describeRecovery(const RecoveryInfo &info)
+{
+    return std::string("outcome=") + recoveryOutcomeName(info.outcome) +
+           " seq=" + std::to_string(info.lastSequence) +
+           " snapshot_records=" + std::to_string(info.snapshotRecords) +
+           " wal_applied=" + std::to_string(info.walApplied) +
+           " discarded_bytes=" + std::to_string(info.walBytesDiscarded);
+}
+
 StateStore::StateStore(Config config)
     : config_(std::move(config)), state_(config_.limits)
 {
@@ -61,13 +71,27 @@ StateStore::open()
         state_ = StoreState(config_.limits);
 
     // 2. WAL tail through the same apply() path; the baseline set by
-    //    the snapshot makes an overlapping tail idempotent.
+    //    the snapshot makes an overlapping tail idempotent. A header
+    //    frame is an install point of a mirror written by an older
+    //    release, which kept the installed image in its WAL: it
+    //    starts a fresh state, and its sequence becomes the baseline
+    //    once the image body and the tail after it have applied.
     const std::string wal_path = config_.dataDir + "/wal.log";
+    std::optional<std::uint64_t> install_point;
     const ReplayResult replay =
-        replayWal(wal_path, [this](const Record &record) {
+        replayWal(wal_path, [&](const Record &record) {
+            if (record.type == RecordType::SnapshotHeader) {
+                const SnapshotHeader header =
+                    decodeSnapshotHeader(record.payload);
+                state_ = StoreState(header.limits);
+                install_point = header.lastSequence;
+                return;
+            }
             if (state_.apply(record))
                 ++recovery_.walApplied;
         });
+    if (install_point.has_value())
+        state_.setBaseline(*install_point);
     recovery_.walRecords = replay.records;
     recovery_.walTorn = replay.torn;
     recovery_.tornReason = replay.reason;
@@ -234,6 +258,53 @@ StateStore::changeConfig(const std::string &key, const std::string &value)
 }
 
 std::uint64_t
+StateStore::applyFrames(std::string_view frames)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    HM_REQUIRE(wal_ != nullptr, "StateStore used before open()");
+    FrameReader reader(frames);
+    Record record;
+    while (reader.next(record)) {
+        HM_REQUIRE(record.type != RecordType::SnapshotHeader,
+                   "applyFrames: snapshot images go through "
+                   "installSnapshot");
+        const std::uint64_t sequence =
+            BinaryReader(record.payload).u64();
+        if (sequence <= state_.lastSequence())
+            continue; // duplicate delivery (leader retry).
+        // A gap means the leader shipped from a stale ack (e.g. this
+        // mirror lost its disk): refuse, so the leader resyncs from
+        // the acked offset in the error answer instead of leaving a
+        // hole in the mirror.
+        HM_REQUIRE(sequence == state_.lastSequence() + 1,
+                   "applyFrames: sequence gap: have "
+                       << state_.lastSequence() << ", got " << sequence);
+        commit(record.type, record.payload);
+        maybeSnapshot();
+    }
+    HM_REQUIRE(!reader.sawCorruption(),
+               "applyFrames: corrupt frame: " << reader.corruption());
+    // The ack offset must name durable state.
+    wal_->sync();
+    return state_.lastSequence();
+}
+
+std::uint64_t
+StateStore::installSnapshot(std::string_view image)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    HM_REQUIRE(wal_ != nullptr, "StateStore used before open()");
+    StoreState installed;
+    decodeSnapshot(image, installed);
+    // On disk first: a failed write leaves the previous image, WAL
+    // and offset in place.
+    compactTo(installed);
+    state_ = std::move(installed);
+    tail_.clear();
+    return state_.lastSequence();
+}
+
+std::uint64_t
 StateStore::snapshotNow()
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -244,16 +315,22 @@ StateStore::snapshotNow()
 std::uint64_t
 StateStore::snapshotLocked()
 {
-    const std::string name = writeSnapshot(config_.dataDir, state_);
+    compactTo(state_);
+    return state_.lastSequence();
+}
+
+void
+StateStore::compactTo(const StoreState &state)
+{
+    const std::string name = writeSnapshot(config_.dataDir, state);
     // The snapshot is durable; the log it covers is now redundant.
     if (wal_ != nullptr)
         wal_->reset();
     removeOldSnapshots(config_.dataDir, name);
     ++snapshotsWritten_;
     sinceSnapshot_ = 0;
-    lastSnapshotSequence_ = state_.lastSequence();
+    lastSnapshotSequence_ = state.lastSequence();
     snapshotTime_ = std::chrono::steady_clock::now();
-    return state_.lastSequence();
 }
 
 void

@@ -19,6 +19,14 @@
  * truncate it away. The outcome — clean, truncated tail, snapshot
  * fallback — is kept for /metrics.
  *
+ * Mirrors: a mesh follower keeps each leader's store as a StateStore
+ * of its own (`<dataDir>/replica_<leader>/`). Its records are stamped
+ * by the leader, not here: applyFrames appends and applies shipped
+ * records through the same commit path, and installSnapshot replaces
+ * the whole image with a leader snapshot. Both return the durable
+ * sequence a follower acks, and a mirror snapshots, compacts and
+ * recovers exactly like a node's own store.
+ *
  * Failure policy: suite registration and config changes throw when
  * the WAL rejects them (the caller's request *is* the persistence).
  * Score recording is best-effort — the score was already computed
@@ -36,6 +44,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/store/snapshot.h"
@@ -72,6 +81,10 @@ struct RecoveryInfo
     std::size_t walBytesDiscarded = 0;  ///< torn tail cut by truncate.
     std::uint64_t lastSequence = 0;     ///< state after recovery.
 };
+
+/** The boot-line summary of @p info: `outcome=<name> seq=N
+ *  snapshot_records=N wal_applied=N discarded_bytes=N`. */
+std::string describeRecovery(const RecoveryInfo &info);
 
 /** Point-in-time store counters for the /metrics exposition. */
 struct StoreMetrics
@@ -212,6 +225,28 @@ class StateStore
     bool recordDriftState(DriftStateRecord record);
 
     /**
+     * Mirror write (tail mode): append + apply a run of framed records
+     * a leader shipped, already stamped with the leader's sequences.
+     * Frames at or below lastSequence() are skipped (duplicate
+     * delivery); the rest go through the normal commit path, snapshot
+     * cadence included, and one fsync precedes the return. Returns
+     * the new durable lastSequence — the ack offset. Throws
+     * InvalidArgument on a corrupt frame, a sequence gap, or a
+     * SnapshotHeader (images go through installSnapshot).
+     */
+    std::uint64_t applyFrames(std::string_view frames);
+
+    /**
+     * Mirror write (catch-up): replace the whole state with a leader's
+     * snapshotImage(). The image is decoded, written as this store's
+     * newest snapshot (atomic replace), the WAL is reset and older
+     * snapshots removed — only then does the new state swap in, so a
+     * failure leaves the previous image and offset in place. Returns
+     * the new lastSequence.
+     */
+    std::uint64_t installSnapshot(std::string_view image);
+
+    /**
      * Write a snapshot now, truncate the WAL, and delete older
      * snapshot generations. Returns the sequence it captured.
      * Throws when the snapshot cannot be written (the WAL is left
@@ -271,9 +306,10 @@ class StateStore
     const RecoveryInfo &recovery() const { return recovery_; }
 
   private:
-    /** Append @p payload (already stamped with nextSequence()) to the
-     *  WAL, then apply it. Requires mutex_. Throws on WAL failure —
-     *  the state is untouched then. */
+    /** Append @p payload (already stamped with nextSequence(), here
+     *  or by the leader of a mirror) to the WAL, then apply it.
+     *  Requires mutex_. Throws on WAL failure — the state is
+     *  untouched then. */
     void commit(RecordType type, const std::string &payload);
 
     /** Auto-snapshot when the cadence says so. Requires mutex_.
@@ -283,6 +319,11 @@ class StateStore
 
     /** snapshotNow() body. Requires mutex_. */
     std::uint64_t snapshotLocked();
+
+    /** Write @p state as the newest snapshot, reset the WAL and drop
+     *  older generations. Requires mutex_. Throws when the snapshot
+     *  cannot be written — the WAL is untouched then. */
+    void compactTo(const StoreState &state);
 
     /** One tail entry: a committed record, already framed. */
     struct TailFrame

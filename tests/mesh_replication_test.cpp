@@ -1,10 +1,13 @@
 /**
  * WAL-shipping replication between a leader StateStore and a follower
- * ReplicaStore: tail batches apply and ack durably, duplicate
- * delivery is idempotent, a sequence gap is refused (the leader must
- * resync instead of leaving a hole), catch-up past the in-memory tail
- * goes through a snapshot image, and a replica survives reopen with
- * a state bit-identical to the leader's.
+ * mirror (a StateStore fed by applyFrames/installSnapshot): tail
+ * batches apply and ack durably, duplicate delivery is idempotent, a
+ * sequence gap is refused (the leader must resync instead of leaving
+ * a hole), catch-up past the in-memory tail goes through a snapshot
+ * image, a failed install changes nothing, the mirror compacts like
+ * the node's own store, and it survives reopen — including a mirror
+ * directory in the older WAL-only install layout — with a state
+ * bit-identical to the leader's.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +15,9 @@
 #include <string>
 #include <unistd.h>
 
-#include "src/mesh/replica.h"
 #include "src/store/store.h"
 #include "src/util/error.h"
+#include "src/util/fault.h"
 #include "src/util/file.h"
 
 namespace {
@@ -38,6 +41,7 @@ class MeshReplicationTest : public ::testing::Test
     void
     TearDown() override
     {
+        fault::reset();
         wipe(leaderDir_);
         wipe(replicaDir_);
     }
@@ -64,14 +68,29 @@ class MeshReplicationTest : public ::testing::Test
         return leader;
     }
 
-    std::unique_ptr<mesh::ReplicaStore>
+    std::unique_ptr<store::StateStore>
     openReplica()
     {
-        mesh::ReplicaStore::Config config;
+        store::StateStore::Config config;
         config.dataDir = replicaDir_;
-        auto replica = std::make_unique<mesh::ReplicaStore>(config);
+        config.replicationTail = 0;
+        auto replica = std::make_unique<store::StateStore>(config);
         replica->open();
         return replica;
+    }
+
+    /** The leader registers `zeta` (seq 1), scores it five times
+     *  (seq 2..6) and registers `alpha` (seq 7): its snapshot body,
+     *  ordered by suite name, is then out of sequence order. */
+    static void
+    writeOutOfOrderState(store::StateStore &leader)
+    {
+        leader.registerSuite("zeta", "scores=s.csv features=f.csv "
+                                     "machine-a=mA machine-b=mB");
+        for (int i = 0; i < 5; ++i)
+            leader.recordScore(score("z-" + std::to_string(i), "zeta"));
+        leader.registerSuite("alpha", "scores=s.csv features=f.csv "
+                                      "machine-a=mA machine-b=mB");
     }
 
     static store::ScoreRecord
@@ -226,6 +245,120 @@ TEST_F(MeshReplicationTest, SnapshotInstallSurvivesReopen)
     auto reopened = openReplica();
     EXPECT_EQ(reopened->lastSequence(), acked);
     EXPECT_EQ(reopened->encodeStateBody(), leader->encodeStateBody());
+}
+
+TEST_F(MeshReplicationTest, ReopenAfterOutOfOrderInstallKeepsEveryRecord)
+{
+    auto leader = openLeader();
+    writeOutOfOrderState(*leader);
+    ASSERT_EQ(leader->lastSequence(), 7u);
+
+    auto replica = openReplica();
+    EXPECT_EQ(replica->installSnapshot(leader->snapshotImage()), 7u);
+    EXPECT_EQ(replica->encodeStateBody(), leader->encodeStateBody());
+    replica->close();
+    replica.reset();
+
+    auto reopened = openReplica();
+    EXPECT_EQ(reopened->lastSequence(), 7u);
+    EXPECT_TRUE(reopened->resolveSuite("zeta").has_value());
+    EXPECT_EQ(reopened->history("zeta").size(), 5u);
+    EXPECT_EQ(reopened->encodeStateBody(), leader->encodeStateBody());
+}
+
+TEST_F(MeshReplicationTest, FailedInstallLeavesThePreviousImage)
+{
+    auto leader = openLeader();
+    leader->registerSuite("nightly", "scores=s.csv features=f.csv "
+                                     "machine-a=mA machine-b=mB");
+    leader->recordScore(score("run-1", "nightly"));
+    auto replica = openReplica();
+    const auto batch = leader->framesSince(0);
+    ASSERT_TRUE(batch.has_value());
+    ASSERT_EQ(replica->applyFrames(batch->frames), 2u);
+    const std::string before = replica->encodeStateBody();
+
+    for (int i = 0; i < 3; ++i)
+        leader->recordScore(score("run-more-" + std::to_string(i),
+                                  "nightly"));
+    fault::configure("store.snapshot.write=once");
+    EXPECT_THROW(replica->installSnapshot(leader->snapshotImage()),
+                 Error);
+    fault::reset();
+    EXPECT_EQ(replica->lastSequence(), 2u);
+    EXPECT_EQ(replica->encodeStateBody(), before);
+
+    // Drop the mirror without its close() snapshot: recovery reads
+    // only what the failed install left on disk.
+    fault::configure("store.snapshot.write=always");
+    replica.reset();
+    fault::reset();
+    auto reopened = openReplica();
+    EXPECT_EQ(reopened->lastSequence(), 2u);
+    EXPECT_EQ(reopened->encodeStateBody(), before);
+}
+
+TEST_F(MeshReplicationTest, MirrorCompactsLikeTheNodeStore)
+{
+    auto leader = openLeader();
+    leader->registerSuite("nightly", "scores=s.csv features=f.csv "
+                                     "machine-a=mA machine-b=mB");
+    auto replica = openReplica();
+    ASSERT_EQ(replica->config().snapshotEvery, 256u);
+    for (int i = 1; i < 600; ++i) {
+        leader->recordScore(score("run-" + std::to_string(i), "nightly"));
+        if (i % 40 == 0 || i == 599) {
+            const auto batch = leader->framesSince(replica->lastSequence());
+            ASSERT_TRUE(batch.has_value());
+            ASSERT_EQ(replica->applyFrames(batch->frames),
+                      leader->lastSequence());
+        }
+    }
+    ASSERT_EQ(replica->lastSequence(), 600u);
+
+    EXPECT_EQ(store::listSnapshots(replicaDir_).size(), 1u);
+    std::size_t walRecords = 0;
+    store::replayWal(replicaDir_ + "/wal.log",
+                     [&](const store::Record &) { ++walRecords; });
+    EXPECT_LT(walRecords, 256u);
+
+    replica->close();
+    replica.reset();
+    auto reopened = openReplica();
+    EXPECT_EQ(reopened->lastSequence(), 600u);
+    EXPECT_EQ(reopened->encodeStateBody(), leader->encodeStateBody());
+}
+
+TEST_F(MeshReplicationTest, OpensTheWalOnlyInstallLayout)
+{
+    // Older mirrors kept an installed image in their WAL: the
+    // SnapshotHeader frame, the image body, then the shipped tail.
+    auto leader = openLeader();
+    writeOutOfOrderState(*leader);
+    const std::string image = leader->snapshotImage();
+    const std::uint64_t installed = leader->lastSequence();
+    leader->recordScore(score("tail-1", "zeta"));
+    leader->recordScore(score("tail-2", "alpha"));
+    const auto tail = leader->framesSince(installed);
+    ASSERT_TRUE(tail.has_value());
+    ASSERT_EQ(tail->records, 2u);
+
+    util::ensureDir(replicaDir_);
+    {
+        store::WalWriter wal(replicaDir_ + "/wal.log", {});
+        for (const std::string &frames : {image, tail->frames}) {
+            store::FrameReader reader(frames);
+            store::Record record;
+            while (reader.next(record))
+                wal.append(record.type, record.payload);
+            ASSERT_FALSE(reader.sawCorruption());
+        }
+    }
+
+    auto replica = openReplica();
+    EXPECT_EQ(replica->lastSequence(), leader->lastSequence());
+    EXPECT_EQ(replica->history("zeta").size(), 6u);
+    EXPECT_EQ(replica->encodeStateBody(), leader->encodeStateBody());
 }
 
 } // namespace

@@ -222,6 +222,30 @@ TEST_F(ServerStoreTest, SuiteReferenceHonorsVersionLineAndOverrides)
         c.roundTrip("POST", "/v1/score", "suite=multi@9").status, 404);
 }
 
+TEST_F(ServerStoreTest, SuiteReferenceKeepsHashInsideStoredValues)
+{
+    // `#` starts a comment only as a line's first non-blank character,
+    // so registration accepts `id=run#2` as the value `run#2`; the
+    // reference must score that same value.
+    auto c = client();
+    const Response adhoc =
+        c.roundTrip("POST", "/v1/score", line("seed=5 id=run#2"));
+    ASSERT_EQ(adhoc.status, 200) << adhoc.body;
+    EXPECT_NE(adhoc.body.find("\"id\":\"run#2\""), std::string::npos)
+        << adhoc.body;
+
+    ASSERT_EQ(c.roundTrip("POST", "/v1/suites?name=hashy",
+                          "# one request\n" + line("seed=5 id=run#2") +
+                              "\n")
+                  .status,
+              200);
+    const Response scored =
+        c.roundTrip("POST", "/v1/score", "suite=hashy");
+    ASSERT_EQ(scored.status, 200) << scored.body;
+    EXPECT_NE(scored.body.find("\"id\":\"run#2\""), std::string::npos)
+        << scored.body;
+}
+
 TEST_F(ServerStoreTest, BatchRunsTheWholeSuiteDocument)
 {
     auto c = client();

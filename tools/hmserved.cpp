@@ -29,7 +29,8 @@
  * snapshots). On boot the store recovers — newest valid snapshot plus
  * WAL tail, torn final record truncated — the result cache is
  * warm-started from the recovered score records, and a `store
- * recovered` line is printed. Suites registered via POST /v1/suites
+ * recovered` line is printed (on a mesh, one `mesh: replica of`
+ * line per mirrored leader too). Suites registered via POST /v1/suites
  * and every executed score survive restarts; graceful shutdown takes
  * a final snapshot.
  *
@@ -247,15 +248,13 @@ run(const util::CommandLine &cl)
                   << " (replicas=" << runtime->meshConfig().replicas
                   << ", ring points=" << runtime->ring().points()
                   << ")" << std::endl;
+        for (const auto &[leader, recovery] : runtime->replicaRecoveries())
+            std::cout << "mesh: replica of `" << leader << "` recovered: "
+                      << store::describeRecovery(recovery) << std::endl;
     }
     if (server.store() != nullptr) {
-        const store::RecoveryInfo &recovery = server.storeRecovery();
-        std::cout << "store recovered: outcome="
-                  << store::recoveryOutcomeName(recovery.outcome)
-                  << " seq=" << recovery.lastSequence
-                  << " snapshot_records=" << recovery.snapshotRecords
-                  << " wal_applied=" << recovery.walApplied
-                  << " discarded_bytes=" << recovery.walBytesDiscarded
+        std::cout << "store recovered: "
+                  << store::describeRecovery(server.storeRecovery())
                   << " cache_warmed=" << server.warmedCacheEntries()
                   << std::endl;
     }

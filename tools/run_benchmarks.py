@@ -11,7 +11,6 @@ Benches:
   score_pipeline    hmscore end-to-end wall time on the example data
   batch_throughput  hmbatch documents/second over the example manifest
   serve_rps         hmserved + hmload requests/second and latency
-  mesh_failover     2-node mesh under hmload with multi-target failover
   overload_shed     goodput at 1x/2x/4x capacity with deadlines
   wire_format       JSON vs negotiated-binary /v1/score (latency and
                     bytes per request, via hmload --wire)
@@ -172,15 +171,11 @@ def bench_batch_throughput(tools, cpus, args):
     return {"unit": "docs_per_second", "direction": "up", "runs": runs}
 
 
-def load_report(tools, cpus, args, port=None, targets=None):
+def load_report(tools, cpus, args, port):
     """One hmload run; returns its parsed JSON report."""
     cmd = [tools["hmload"], "--manifest=" + MANIFEST,
            "--concurrency=2", "--duration-s=%d" % args.duration_s,
-           "--timeout-ms=10000", "--json-only"]
-    if targets is not None:
-        cmd.append("--targets=" + targets)
-    else:
-        cmd.append("--port=%d" % port)
+           "--timeout-ms=10000", "--json-only", "--port=%d" % port]
     out = run(cmd, cpus, check=True, cwd=ROOT, capture_output=True,
               text=True)
     return json.loads(out.stdout.splitlines()[-1])
@@ -206,45 +201,6 @@ def bench_serve_rps(tools, cpus, args):
                        "p99_ms": report["p99_ms"]})
     return {"unit": "requests_per_second", "direction": "up",
             "runs": runs, "latency": extras}
-
-
-def bench_mesh_failover(tools, cpus, args):
-    """2-node mesh driven through hmload's multi-target failover."""
-    runs, extras = [], []
-    for _ in range(args.repeats):
-        ports = [free_port(), free_port()]
-        scratch = tempfile.mkdtemp(prefix="hiermeans_bench_mesh_")
-        members = "".join("node %s 127.0.0.1:%d\n" % (node, port)
-                          for node, port in zip("ab", ports))
-        servers = []
-        try:
-            for node, port in zip("ab", ports):
-                conf = os.path.join(scratch, "mesh_%s.conf" % node)
-                data = os.path.join(scratch, "data_%s" % node)
-                os.mkdir(data)
-                with open(conf, "w") as out:
-                    out.write("self = %s\nreplicas = 2\n%s"
-                              % (node, members))
-                servers.append(popen(
-                    [tools["hmserved"], "--mesh-config=" + conf,
-                     "--data-dir=" + data, "--threads=2",
-                     "--queue-depth=8", "--mesh-tick-ms=100"],
-                    cpus, cwd=ROOT, stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL))
-            for port in ports:
-                wait_http_ok(tools["hmctl"], port)
-            targets = ",".join("127.0.0.1:%d" % port
-                               for port in ports)
-            report = load_report(tools, cpus, args, targets=targets)
-        finally:
-            for server in servers:
-                stop(server)
-            shutil.rmtree(scratch, ignore_errors=True)
-        runs.append(report["rps"])
-        extras.append({"p95_ms": report["p95_ms"],
-                       "failovers": report["failovers"]})
-    return {"unit": "requests_per_second", "direction": "up",
-            "runs": runs, "detail": extras}
 
 
 def bench_overload_shed(tools, cpus, args):
@@ -446,7 +402,6 @@ BENCHES = {
     "score_pipeline": bench_score_pipeline,
     "batch_throughput": bench_batch_throughput,
     "serve_rps": bench_serve_rps,
-    "mesh_failover": bench_mesh_failover,
     "overload_shed": bench_overload_shed,
     "wire_format": bench_wire_format,
     "gen_families": bench_gen_families,
