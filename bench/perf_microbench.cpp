@@ -69,6 +69,38 @@ BM_Agglomerate(benchmark::State &state)
 }
 BENCHMARK(BM_Agglomerate)->Arg(13)->Arg(50)->Arg(150);
 
+/**
+ * The points the scoring pipeline clusters: SOM grid positions of a
+ * generated suite on its auto-sized map (160 workloads on 8x9 units),
+ * so most workloads share a unit and the zero-height collapse applies.
+ * BM_Agglomerate's continuous points never repeat and take the full
+ * scan.
+ */
+void
+BM_AgglomerateGrid(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    gen::FamilyConfig family =
+        gen::defaultConfig(gen::FamilyKind::BigData, 5);
+    family.workloads = n;
+    family.clusters = 8;
+    const gen::GeneratedSuite suite = gen::generateSuite(family);
+    const core::CharacteristicVectors vectors = core::characterizeRaw(
+        suite.features.values, suite.workloadNames(),
+        suite.features.featureNames);
+    core::PipelineConfig config;
+    config.autoSizeSom(n);
+    config.som.steps = 150;
+    const linalg::Matrix positions =
+        som::SelfOrganizingMap::train(vectors.features, config.som)
+            .mapAll(vectors.features);
+    for (auto _ : state) {
+        auto d = cluster::agglomerate(positions, cluster::Linkage::Complete);
+        benchmark::DoNotOptimize(d.merges());
+    }
+}
+BENCHMARK(BM_AgglomerateGrid)->Arg(160);
+
 void
 BM_HierarchicalMean(benchmark::State &state)
 {

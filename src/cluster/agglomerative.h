@@ -24,7 +24,11 @@ namespace hiermeans {
 namespace cluster {
 
 /**
- * Cluster the rows of @p points.
+ * Cluster the rows of @p points. The merge list equals
+ * agglomerateFromDistances(pairwiseDistances(points, metric), linkage)
+ * bit for bit; where rows repeat (SOM grid positions do), complete,
+ * single and weighted linkage scan only the distinct rows
+ * (DESIGN.md §7).
  *
  * @param points n x d observations (n >= 1).
  * @param linkage cluster-to-cluster distance criterion.

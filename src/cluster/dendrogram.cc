@@ -1,6 +1,7 @@
 #include "src/cluster/dendrogram.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/util/error.h"
 
@@ -35,9 +36,35 @@ class UnionFind
         parent_[find(a)] = find(b);
     }
 
+    /** The current components as a (canonically labelled) partition. */
+    scoring::Partition
+    partition()
+    {
+        std::vector<std::size_t> labels(parent_.size());
+        for (std::size_t i = 0; i < labels.size(); ++i)
+            labels[i] = find(i);
+        return scoring::Partition::fromLabels(labels);
+    }
+
   private:
     std::vector<std::size_t> parent_;
 };
+
+/**
+ * The smallest leaf under every node id (leaves, then merges in
+ * order): leavesUnder(node).front() for all nodes in one pass. A merge
+ * joins the components of the smallest leaves under its two sides.
+ */
+std::vector<std::size_t>
+smallestLeaves(std::size_t num_leaves, const std::vector<Merge> &merges)
+{
+    std::vector<std::size_t> out(num_leaves + merges.size());
+    std::iota(out.begin(), out.begin() + num_leaves, 0);
+    for (std::size_t m = 0; m < merges.size(); ++m)
+        out[num_leaves + m] =
+            std::min(out[merges[m].left], out[merges[m].right]);
+    return out;
+}
 
 } // namespace
 
@@ -118,34 +145,20 @@ Dendrogram::cutAtCount(std::size_t k) const
     HM_REQUIRE(k >= 1 && k <= numLeaves_,
                "cutAtCount: k " << k << " outside [1, " << numLeaves_
                                 << "]");
-    UnionFind uf(numLeaves_);
-    // Apply the first (numLeaves_ - k) merges.
-    const std::size_t applied = numLeaves_ - k;
-    for (std::size_t m = 0; m < applied; ++m) {
-        const std::size_t left_leaf = leavesUnder(merges_[m].left).front();
-        const std::size_t right_leaf =
-            leavesUnder(merges_[m].right).front();
-        uf.unite(left_leaf, right_leaf);
-    }
-    std::vector<std::size_t> labels(numLeaves_);
-    for (std::size_t i = 0; i < numLeaves_; ++i)
-        labels[i] = uf.find(i);
-    return scoring::Partition::fromLabels(labels);
+    return partitionSweep(k, k).front();
 }
 
 scoring::Partition
 Dendrogram::cutAtDistance(double distance) const
 {
+    const std::vector<std::size_t> leaf = smallestLeaves(numLeaves_, merges_);
     UnionFind uf(numLeaves_);
     for (const Merge &m : merges_) {
         if (m.height > distance)
             continue;
-        uf.unite(leavesUnder(m.left).front(), leavesUnder(m.right).front());
+        uf.unite(leaf[m.left], leaf[m.right]);
     }
-    std::vector<std::size_t> labels(numLeaves_);
-    for (std::size_t i = 0; i < numLeaves_; ++i)
-        labels[i] = uf.find(i);
-    return scoring::Partition::fromLabels(labels);
+    return uf.partition();
 }
 
 std::size_t
@@ -163,10 +176,20 @@ Dendrogram::partitionSweep(std::size_t k_min, std::size_t k_max) const
                                                                << ", "
                                                                << k_max
                                                                << "]");
+    // One pass over the merges: k clusters remain once the first
+    // numLeaves_ - k are applied, so walk k downwards.
+    const std::vector<std::size_t> leaf = smallestLeaves(numLeaves_, merges_);
+    UnionFind uf(numLeaves_);
+    std::size_t applied = 0;
     std::vector<scoring::Partition> out;
     out.reserve(k_max - k_min + 1);
-    for (std::size_t k = k_min; k <= k_max; ++k)
-        out.push_back(cutAtCount(k));
+    for (std::size_t k = k_max; k >= k_min; --k) {
+        for (; applied < numLeaves_ - k; ++applied)
+            uf.unite(leaf[merges_[applied].left],
+                     leaf[merges_[applied].right]);
+        out.push_back(uf.partition());
+    }
+    std::reverse(out.begin(), out.end());
     return out;
 }
 

@@ -54,8 +54,14 @@ analyzeClusters(const CharacteristicVectors &vectors,
         return som::SelfOrganizingMap::train(vectors.features,
                                              config.som);
     }();
+    // mapAll's positions, from the BMUs already found.
     std::vector<std::size_t> bmus = map.bmuAll(vectors.features);
-    linalg::Matrix positions = map.mapAll(vectors.features);
+    linalg::Matrix positions(n, 2);
+    for (std::size_t i = 0; i < n; ++i) {
+        const som::GridPoint p = map.topology().location(bmus[i]);
+        positions(i, 0) = p.x;
+        positions(i, 1) = p.y;
+    }
 
     obs::ScopedSpan clusterSpan("pipeline.cluster");
     cluster::Dendrogram dendrogram =

@@ -30,6 +30,25 @@ struct SuiteRef
 };
 
 /**
+ * Request lines of a manifest by parseManifest's line rule: trimmed,
+ * blank lines skipped, and `#` starting a comment only as a line's
+ * first non-blank character — so a `#` inside a value (an id, a CSV
+ * path) survives, in a stored manifest exactly as registration
+ * checked it, and in a reference's own override tokens.
+ */
+std::vector<std::string>
+storedRequestLines(const std::string &manifest)
+{
+    std::vector<std::string> lines;
+    for (const std::string &raw : str::split(manifest, '\n')) {
+        std::string line = str::trim(raw);
+        if (!line.empty() && line.front() != '#')
+            lines.push_back(std::move(line));
+    }
+    return lines;
+}
+
+/**
  * Scan @p body for a `suite=` reference. The body is treated as one
  * token stream (a suite-referencing request is a single logical
  * line); `suite=` and `line=` tokens are consumed, everything else
@@ -40,7 +59,7 @@ SuiteRef
 parseSuiteReference(const std::string &body)
 {
     SuiteRef ref;
-    for (const std::string &line : manifestLogicalLines(body)) {
+    for (const std::string &line : storedRequestLines(body)) {
         std::istringstream tokens(line);
         std::string token;
         while (tokens >> token) {
@@ -88,24 +107,6 @@ parseSuiteReference(const std::string &body)
         }
     }
     return ref;
-}
-
-/**
- * Request lines of a stored manifest by parseManifest's line rule:
- * trimmed, blank lines skipped, and `#` starting a comment only as a
- * line's first non-blank character — so a `#` inside a value (an id,
- * a CSV path) survives expansion exactly as registration checked it.
- */
-std::vector<std::string>
-storedRequestLines(const std::string &manifest)
-{
-    std::vector<std::string> lines;
-    for (const std::string &raw : str::split(manifest, '\n')) {
-        std::string line = str::trim(raw);
-        if (!line.empty() && line.front() != '#')
-            lines.push_back(std::move(line));
-    }
-    return lines;
 }
 
 } // namespace

@@ -23,6 +23,18 @@ defaultSigmaStart(const SomConfig &config)
                      2.0;
 }
 
+/** Squared grid distance between every pair of units, row-major. */
+std::vector<double>
+gridDistanceTable(const GridTopology &topology)
+{
+    const std::size_t units = topology.unitCount();
+    std::vector<double> table(units * units);
+    for (std::size_t a = 0; a < units; ++a)
+        for (std::size_t b = 0; b < units; ++b)
+            table[a * units + b] = topology.gridDistanceSquared(a, b);
+    return table;
+}
+
 } // namespace
 
 SelfOrganizingMap::SelfOrganizingMap(const linalg::Matrix &data,
@@ -142,12 +154,18 @@ SelfOrganizingMap::bestMatchingUnit(const linalg::Vector &x) const
                "bestMatchingUnit: vector has " << x.size()
                                                << " features, map expects "
                                                << weights_.cols());
+    return nearestUnit(x.data());
+}
+
+std::size_t
+SelfOrganizingMap::nearestUnit(const double *x) const
+{
     std::size_t best = 0;
     double best_dist = std::numeric_limits<double>::infinity();
     for (std::size_t u = 0; u < topology_.unitCount(); ++u) {
         double acc = 0.0;
         const double *w = weights_.rowData(u);
-        for (std::size_t c = 0; c < x.size(); ++c) {
+        for (std::size_t c = 0; c < weights_.cols(); ++c) {
             const double diff = x[c] - w[c];
             acc += diff * diff;
         }
@@ -160,20 +178,20 @@ SelfOrganizingMap::bestMatchingUnit(const linalg::Vector &x) const
 }
 
 void
-SelfOrganizingMap::updateWeights(const linalg::Vector &x, std::size_t bmu,
+SelfOrganizingMap::updateWeights(const double *x, const double *grid_sq,
                                  double alpha, double sigma)
 {
     const double support = kernelSupportRadius(config_.kernel, sigma);
     const double support_sq = support * support;
     for (std::size_t u = 0; u < topology_.unitCount(); ++u) {
-        const double dist_sq = topology_.gridDistanceSquared(bmu, u);
+        const double dist_sq = grid_sq[u];
         if (dist_sq > support_sq)
             continue;
         const double h = kernelValue(config_.kernel, dist_sq, alpha, sigma);
         if (h <= 0.0)
             continue;
         double *w = weights_.rowData(u);
-        for (std::size_t c = 0; c < x.size(); ++c)
+        for (std::size_t c = 0; c < weights_.cols(); ++c)
             w[c] += h * (x[c] - w[c]);
     }
 }
@@ -181,19 +199,29 @@ SelfOrganizingMap::updateWeights(const linalg::Vector &x, std::size_t bmu,
 void
 SelfOrganizingMap::step()
 {
+    step(gridDistanceTable(topology_));
+}
+
+void
+SelfOrganizingMap::step(const std::vector<double> &grid_sq)
+{
     const std::size_t sample = static_cast<std::size_t>(
         engine_.below(static_cast<std::uint64_t>(data_.rows())));
-    const linalg::Vector x = data_.row(sample);
-    const std::size_t bmu = bestMatchingUnit(x);
-    updateWeights(x, bmu, alpha_.value(stepsDone_), sigma_.value(stepsDone_));
+    const double *x = data_.rowData(sample);
+    const std::size_t bmu = nearestUnit(x);
+    updateWeights(x, grid_sq.data() + bmu * topology_.unitCount(),
+                  alpha_.value(stepsDone_), sigma_.value(stepsDone_));
     ++stepsDone_;
 }
 
 void
 SelfOrganizingMap::trainToCompletion()
 {
+    // One grid-distance table per run, not per step, and not kept in
+    // the map: a trained map is cached with every analysis.
+    const std::vector<double> grid_sq = gridDistanceTable(topology_);
     while (stepsDone_ < config_.steps)
-        step();
+        step(grid_sq);
 }
 
 void

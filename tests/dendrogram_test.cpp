@@ -6,16 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/cluster/agglomerative.h"
 #include "src/cluster/dendrogram.h"
 #include "src/util/error.h"
+#include "src/util/rng.h"
 
 namespace {
 
 using namespace hiermeans::cluster;
 using hiermeans::InvalidArgument;
 using hiermeans::linalg::Matrix;
+using hiermeans::linalg::Vector;
 using hiermeans::scoring::Partition;
 
 /**
@@ -134,6 +137,77 @@ TEST(DendrogramTest, CutsNestHierarchically)
             const std::size_t target = coarse.label(cluster.front());
             for (std::size_t member : cluster)
                 EXPECT_EQ(coarse.label(member), target);
+        }
+    }
+}
+
+/**
+ * The partition left after applying the merges @p apply selects, by
+ * the definition: each applied merge joins the clusters of the
+ * smallest leaf under either side (leavesUnder(...).front()).
+ */
+Partition
+cutByLeavesUnder(const Dendrogram &d, const std::vector<bool> &apply)
+{
+    std::vector<std::size_t> label(d.leafCount());
+    std::iota(label.begin(), label.end(), 0);
+    for (std::size_t m = 0; m < d.merges().size(); ++m) {
+        if (!apply[m])
+            continue;
+        const std::size_t from =
+            label[d.leavesUnder(d.merges()[m].right).front()];
+        const std::size_t to =
+            label[d.leavesUnder(d.merges()[m].left).front()];
+        for (std::size_t &l : label)
+            if (l == from)
+                l = to;
+    }
+    return Partition::fromLabels(label);
+}
+
+TEST(DendrogramTest, SweepAndCutsMatchLeavesUnderDefinition)
+{
+    // Lattice points with repeats (as SOM grid positions are), so the
+    // merge lists hold zero-height runs and tied heights.
+    for (const Linkage linkage :
+         {Linkage::Single, Linkage::Complete, Linkage::Average,
+          Linkage::Weighted, Linkage::Ward}) {
+        for (const std::uint64_t seed : {3u, 29u, 512u}) {
+            hiermeans::rng::Engine engine(seed);
+            const std::size_t n = 12 + engine.below(40);
+            std::vector<Vector> rows;
+            for (std::size_t i = 0; i < n; ++i)
+                rows.push_back({static_cast<double>(engine.below(6)),
+                                static_cast<double>(engine.below(5))});
+            const Dendrogram d = agglomerate(Matrix::fromRows(rows), linkage);
+            SCOPED_TRACE(std::string(linkageName(linkage)) + " seed " +
+                         std::to_string(seed));
+
+            const std::vector<Partition> sweep = d.partitionSweep(1, n);
+            ASSERT_EQ(sweep.size(), n);
+            for (std::size_t k = 1; k <= n; ++k) {
+                std::vector<bool> apply(n - 1, false);
+                std::fill(apply.begin(), apply.begin() + (n - k), true);
+                const Partition want = cutByLeavesUnder(d, apply);
+                EXPECT_EQ(d.cutAtCount(k), want) << "k = " << k;
+                EXPECT_EQ(sweep[k - 1], want) << "k = " << k;
+            }
+            const std::vector<Partition> inner = d.partitionSweep(2, 8);
+            ASSERT_EQ(inner.size(), 7u);
+            for (std::size_t k = 2; k <= 8; ++k)
+                EXPECT_EQ(inner[k - 2], sweep[k - 1]) << "k = " << k;
+
+            for (const Merge &merge : d.merges()) {
+                for (const double cut :
+                     {merge.height, merge.height * 0.999, -1.0}) {
+                    std::vector<bool> apply;
+                    for (const Merge &m : d.merges())
+                        apply.push_back(m.height <= cut);
+                    EXPECT_EQ(d.cutAtDistance(cut),
+                              cutByLeavesUnder(d, apply))
+                        << "cut at " << cut;
+                }
+            }
         }
     }
 }

@@ -61,6 +61,8 @@ TEST(PipelineTest, ProducesConsistentArtifacts)
     EXPECT_EQ(analysis.bmus.size(), 12u);
     EXPECT_EQ(analysis.gridPositions.rows(), 12u);
     EXPECT_EQ(analysis.gridPositions.cols(), 2u);
+    EXPECT_TRUE(analysis.gridPositions.approxEqual(
+        analysis.map.mapAll(cv.features), 0.0));
     EXPECT_EQ(analysis.dendrogram.leafCount(), 12u);
     ASSERT_EQ(analysis.partitions.size(), 5u);
     for (std::size_t i = 0; i < analysis.partitions.size(); ++i)

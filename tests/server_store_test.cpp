@@ -244,6 +244,14 @@ TEST_F(ServerStoreTest, SuiteReferenceKeepsHashInsideStoredValues)
     ASSERT_EQ(scored.status, 200) << scored.body;
     EXPECT_NE(scored.body.find("\"id\":\"run#2\""), std::string::npos)
         << scored.body;
+
+    // The same rule holds for the reference's own override tokens.
+    const Response overridden =
+        c.roundTrip("POST", "/v1/score", "suite=hashy id=over#1");
+    ASSERT_EQ(overridden.status, 200) << overridden.body;
+    EXPECT_NE(overridden.body.find("\"id\":\"over#1\""),
+              std::string::npos)
+        << overridden.body;
 }
 
 TEST_F(ServerStoreTest, BatchRunsTheWholeSuiteDocument)

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <set>
 
@@ -184,6 +186,60 @@ TEST(SomTest, ConfigValidation)
     EXPECT_THROW(SelfOrganizingMap::train(data, bad), InvalidArgument);
     EXPECT_THROW(SelfOrganizingMap::train(Matrix(), smallConfig()),
                  InvalidArgument);
+}
+
+/** FNV-1a over the bit patterns of every weight, row-major. */
+std::uint64_t
+weightsHash(const SelfOrganizingMap &map)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    const Matrix &w = map.weights();
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+        for (std::size_t c = 0; c < w.cols(); ++c) {
+            const auto bits = std::bit_cast<std::uint64_t>(w(r, c));
+            for (int b = 0; b < 8; ++b) {
+                hash ^= (bits >> (8 * b)) & 0xffu;
+                hash *= 0x100000001b3ull;
+            }
+        }
+    }
+    return hash;
+}
+
+TEST(SomTest, TrainedWeightsArePinned)
+{
+    // Bit-for-bit pins of sequential training for a fixed seed, one
+    // per grid and kernel: any change to the step (sample order, BMU
+    // search, grid distances, kernel, update) moves a hash. Driving
+    // step() by hand must land on the same weights as train().
+    struct Case
+    {
+        GridKind grid;
+        KernelKind kernel;
+        std::uint64_t hash;
+    };
+    const Case cases[] = {
+        {GridKind::Rectangular, KernelKind::Gaussian, 0x60396bbf743e7697ull},
+        {GridKind::Hexagonal, KernelKind::Gaussian, 0x4f2467942607ada9ull},
+        {GridKind::Rectangular, KernelKind::Bubble, 0x81b2aed130a2d8acull},
+    };
+    const Matrix data = twoBlobs();
+    for (const Case &c : cases) {
+        SomConfig config = smallConfig();
+        config.rows = 5;
+        config.cols = 7;
+        config.grid = c.grid;
+        config.kernel = c.kernel;
+        const auto trained = SelfOrganizingMap::train(data, config);
+        EXPECT_EQ(weightsHash(trained), c.hash)
+            << std::hex << weightsHash(trained) << " for "
+            << gridKindName(c.grid) << "/" << kernelKindName(c.kernel);
+
+        auto stepped = SelfOrganizingMap::initialize(data, config);
+        for (std::size_t s = 0; s < config.steps; ++s)
+            stepped.step();
+        EXPECT_EQ(weightsHash(stepped), weightsHash(trained));
+    }
 }
 
 TEST(SomTest, MismatchedQueryDimensionThrows)
