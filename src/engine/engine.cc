@@ -2,13 +2,10 @@
 
 #include <chrono>
 #include <exception>
-
 #include <thread>
 
 #include "src/core/characterization.h"
 #include "src/engine/fingerprint.h"
-#include "src/scoring/hierarchical_mean.h"
-#include "src/stats/means.h"
 #include "src/util/error.h"
 #include "src/util/fault.h"
 
@@ -85,7 +82,6 @@ ScoringEngine::submit(ScoreRequest request)
         result.cacheHit = true;
         result.fingerprint = fingerprint;
         result.report = std::move(cached->report);
-        result.analysis = std::move(cached->analysis);
         result.recommendedK = cached->recommendedK;
         metrics_.requestLatency.observe(millisSince(received));
         promise.set_value(std::move(result));
@@ -194,35 +190,29 @@ ScoringEngine::execute(std::uint64_t fingerprint,
             core::PipelineConfig config = request->config;
             config.som.seed = request->seed;
 
-            std::shared_ptr<const core::ClusterAnalysis> analysis;
+            core::CharacteristicVectors vectors;
             {
-                core::CharacteristicVectors vectors;
-                {
-                    obs::ScopedSpan span("pipeline.characterize");
-                    vectors = core::characterizeRaw(
-                        request->features, request->workloads,
-                        request->featureNames);
-                }
-                if (request->cancel.cancelled())
-                    throw CancelledMidPipeline{};
-                // analyzeClusters records its own som_train/cluster
-                // stage spans through the thread-local context.
-                analysis =
-                    std::make_shared<const core::ClusterAnalysis>(
-                        core::analyzeClusters(vectors, config));
+                obs::ScopedSpan span("pipeline.characterize");
+                vectors = core::characterizeRaw(request->features,
+                                                request->workloads,
+                                                request->featureNames);
             }
             if (request->cancel.cancelled())
                 throw CancelledMidPipeline{};
-            scoring::ScoreReport report;
             {
+                // analyzeClusters records its own som_train/cluster
+                // stage spans through the thread-local context. The
+                // analysis dies with this scope: the report is the
+                // result, and the only thing cached.
+                const core::ClusterAnalysis analysis =
+                    core::analyzeClusters(vectors, config);
+                if (request->cancel.cancelled())
+                    throw CancelledMidPipeline{};
                 obs::ScopedSpan span("pipeline.score");
-                report = scoring::buildScoreReport(
+                result.report = scoring::buildScoreReport(
                     request->kind, request->scoresA, request->scoresB,
-                    analysis->partitions);
+                    analysis.partitions);
             }
-
-            result.report = std::move(report);
-            result.analysis = std::move(analysis);
             result.recommendedK =
                 result.report.rows[result.report.recommendedRow()]
                     .clusterCount;
@@ -243,7 +233,6 @@ ScoringEngine::execute(std::uint64_t fingerprint,
             result.ok = false;
             result.timedOut = true;
             result.report = scoring::ScoreReport{};
-            result.analysis.reset();
             result.recommendedK = 0;
             result.error = "timed out after " +
                            std::to_string(millisSince(enqueued)) +
@@ -259,9 +248,8 @@ ScoringEngine::execute(std::uint64_t fingerprint,
         try {
             if (HM_FAULT("engine.cache.put"))
                 throw Error("injected: engine.cache.put failure");
-            cache_.put(fingerprint,
-                       CachedResult{result.report, result.analysis,
-                                    result.recommendedK});
+            cache_.put(fingerprint, CachedResult{result.report, nullptr,
+                                                 result.recommendedK});
         } catch (const std::exception &) {
             metrics_.cacheInsertFailures.inc();
         }
@@ -290,115 +278,6 @@ ScoringEngine::execute(std::uint64_t fingerprint,
         metrics_.requestLatency.observe(total);
         waiters[i].second.set_value(std::move(copy));
     }
-}
-
-std::vector<ScoreResult>
-ScoringEngine::runBatch(std::vector<ScoreRequest> requests)
-{
-    std::vector<std::future<ScoreResult>> futures;
-    futures.reserve(requests.size());
-    for (ScoreRequest &request : requests)
-        futures.push_back(submit(std::move(request)));
-    std::vector<ScoreResult> results;
-    results.reserve(futures.size());
-    for (auto &future : futures)
-        results.push_back(future.get());
-    return results;
-}
-
-scoring::ScoreReport
-buildScoreReportParallel(ThreadPool &pool, stats::MeanKind kind,
-                         const std::vector<double> &scores_a,
-                         const std::vector<double> &scores_b,
-                         const std::vector<scoring::Partition> &partitions)
-{
-    HM_REQUIRE(scores_a.size() == scores_b.size(),
-               "buildScoreReportParallel: score vectors differ in size");
-    HM_REQUIRE(!scores_a.empty(), "buildScoreReportParallel: no scores");
-
-    std::vector<std::future<scoring::ScoreReportRow>> rows;
-    rows.reserve(partitions.size());
-    for (const scoring::Partition &partition : partitions) {
-        HM_REQUIRE(partition.size() == scores_a.size(),
-                   "buildScoreReportParallel: partition covers "
-                       << partition.size() << " items, scores cover "
-                       << scores_a.size());
-        rows.push_back(pool.submit([kind, &scores_a, &scores_b,
-                                    &partition]() {
-            scoring::ScoreReportRow row;
-            row.clusterCount = partition.clusterCount();
-            row.partition = partition;
-            row.scoreA = scoring::hierarchicalMean(kind, scores_a,
-                                                   partition);
-            row.scoreB = scoring::hierarchicalMean(kind, scores_b,
-                                                   partition);
-            row.ratio = row.scoreA / row.scoreB;
-            return row;
-        }));
-    }
-
-    scoring::ScoreReport report;
-    report.kind = kind;
-    for (auto &future : rows)
-        report.rows.push_back(future.get());
-    report.plainA = stats::mean(kind, scores_a);
-    report.plainB = stats::mean(kind, scores_b);
-    report.plainRatio = report.plainA / report.plainB;
-    return report;
-}
-
-scoring::MultiMachineReport
-buildMultiMachineReportParallel(
-    ThreadPool &pool, stats::MeanKind kind,
-    const std::vector<std::vector<double>> &machine_scores,
-    const std::vector<std::string> &machine_labels,
-    const std::vector<scoring::Partition> &partitions)
-{
-    HM_REQUIRE(machine_scores.size() >= 2,
-               "buildMultiMachineReportParallel: need >= 2 machines");
-    HM_REQUIRE(machine_scores.size() == machine_labels.size(),
-               "buildMultiMachineReportParallel: "
-                   << machine_scores.size() << " score vectors vs "
-                   << machine_labels.size() << " labels");
-    const std::size_t n = machine_scores.front().size();
-    HM_REQUIRE(n >= 1, "buildMultiMachineReportParallel: no workloads");
-    for (const auto &scores : machine_scores) {
-        HM_REQUIRE(scores.size() == n,
-                   "buildMultiMachineReportParallel: ragged score "
-                   "vectors");
-    }
-
-    // One task per (partition, machine) cell, gathered in order.
-    std::vector<std::future<double>> cells;
-    cells.reserve(partitions.size() * machine_scores.size());
-    for (const scoring::Partition &partition : partitions) {
-        HM_REQUIRE(partition.size() == n,
-                   "buildMultiMachineReportParallel: partition covers "
-                       << partition.size() << " items, scores cover "
-                       << n);
-        for (const auto &scores : machine_scores) {
-            cells.push_back(pool.submit([kind, &scores, &partition]() {
-                return scoring::hierarchicalMean(kind, scores,
-                                                 partition);
-            }));
-        }
-    }
-
-    scoring::MultiMachineReport report;
-    report.kind = kind;
-    report.machineLabels = machine_labels;
-    std::size_t cell = 0;
-    for (const scoring::Partition &partition : partitions) {
-        scoring::MultiMachineRow row;
-        row.clusterCount = partition.clusterCount();
-        row.partition = partition;
-        for (std::size_t m = 0; m < machine_scores.size(); ++m)
-            row.scores.push_back(cells[cell++].get());
-        report.rows.push_back(std::move(row));
-    }
-    for (const auto &scores : machine_scores)
-        report.plainScores.push_back(stats::mean(kind, scores));
-    return report;
 }
 
 } // namespace engine

@@ -7,6 +7,10 @@
  *   table (single-flight)] --new--> [thread pool] --> pipeline -->
  *   ScoreResult (+ cache insert, + metrics)
  *
+ * A result is its report: the `ClusterAnalysis` an execution builds
+ * lives only until `buildScoreReport` has read its partitions, and the
+ * cache keeps `{report, recommendedK}`, the shape every caller serves.
+ *
  * `submit` is non-blocking and returns a `std::future<ScoreResult>`:
  *  - a cache hit resolves immediately with the cached (bit-identical)
  *    report;
@@ -123,7 +127,6 @@ struct ScoreResult
 
     scoring::ScoreReport report;
     std::size_t recommendedK = 0; ///< cluster count of recommended row.
-    std::shared_ptr<const core::ClusterAnalysis> analysis;
 };
 
 /**
@@ -161,9 +164,6 @@ class ScoringEngine
      */
     std::future<ScoreResult> submit(ScoreRequest request);
 
-    /** Submit every request, then wait; results in request order. */
-    std::vector<ScoreResult> runBatch(std::vector<ScoreRequest> requests);
-
     /**
      * Requests accepted by the pool but not yet executing — the
      * backlog a serving layer reports as its queue depth.
@@ -194,25 +194,6 @@ class ScoringEngine
     std::unordered_map<std::uint64_t, std::shared_ptr<Flight>> flights_;
     ThreadPool pool_; ///< last member: joins before the rest dies.
 };
-
-/**
- * Parallel twin of scoring::buildScoreReport: farms the per-partition
- * hierarchical means of the k-sweep out to @p pool. Output is
- * identical to the serial builder (same order, same doubles).
- */
-scoring::ScoreReport buildScoreReportParallel(
-    ThreadPool &pool, stats::MeanKind kind,
-    const std::vector<double> &scores_a,
-    const std::vector<double> &scores_b,
-    const std::vector<scoring::Partition> &partitions);
-
-/** Parallel twin of scoring::buildMultiMachineReport (per machine x
- *  partition cell). Output is identical to the serial builder. */
-scoring::MultiMachineReport buildMultiMachineReportParallel(
-    ThreadPool &pool, stats::MeanKind kind,
-    const std::vector<std::vector<double>> &machine_scores,
-    const std::vector<std::string> &machine_labels,
-    const std::vector<scoring::Partition> &partitions);
 
 } // namespace engine
 } // namespace hiermeans

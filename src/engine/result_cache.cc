@@ -1,39 +1,52 @@
 #include "src/engine/result_cache.h"
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "src/util/error.h"
 
 namespace hiermeans {
 namespace engine {
 
+namespace {
+
+std::size_t
+matrixBytes(const linalg::Matrix &matrix)
+{
+    return matrix.rows() * matrix.cols() * sizeof(double);
+}
+
+std::size_t
+namesBytes(const std::vector<std::string> &names)
+{
+    std::size_t bytes = 0;
+    for (const std::string &name : names)
+        bytes += sizeof(name) + name.size();
+    return bytes;
+}
+
+} // namespace
+
 std::size_t
 estimateBytes(const CachedResult &result)
 {
     std::size_t bytes = sizeof(CachedResult);
-    for (const auto &row : result.report.rows) {
-        bytes += sizeof(row);
-        bytes += row.partition.size() * sizeof(std::size_t);
-    }
-    if (result.analysis) {
-        const auto &a = *result.analysis;
-        bytes += sizeof(core::ClusterAnalysis);
-        bytes += a.vectors.features.rows() * a.vectors.features.cols() *
-                 sizeof(double);
-        for (const auto &name : a.vectors.workloadNames)
-            bytes += name.size() + sizeof(std::string);
-        for (const auto &name : a.vectors.featureNames)
-            bytes += name.size() + sizeof(std::string);
-        bytes += a.map.weights().rows() * a.map.weights().cols() *
-                 sizeof(double);
-        bytes += a.gridPositions.rows() * a.gridPositions.cols() *
-                 sizeof(double);
-        bytes += a.bmus.size() * sizeof(std::size_t);
-        for (const auto &partition : a.partitions)
-            bytes += partition.size() * sizeof(std::size_t);
-        // Dendrogram merge history: ~3 words per merge, n-1 merges.
-        bytes += a.bmus.size() * 3 * sizeof(double);
-    }
+    for (const auto &row : result.report.rows)
+        bytes += sizeof(row) + row.partition.size() * sizeof(std::size_t);
+    if (!result.analysis)
+        return bytes;
+
+    const core::ClusterAnalysis &a = *result.analysis;
+    bytes += sizeof(a) + matrixBytes(a.vectors.features) +
+             namesBytes(a.vectors.workloadNames) +
+             namesBytes(a.vectors.featureNames);
+    // The trained map keeps its own copy of the data it trained on.
+    bytes += matrixBytes(a.map.trainingData()) + matrixBytes(a.map.weights());
+    bytes += a.bmus.size() * sizeof(std::size_t) +
+             matrixBytes(a.gridPositions) +
+             a.dendrogram.merges().size() * sizeof(cluster::Merge);
+    for (const auto &partition : a.partitions)
+        bytes += sizeof(partition) + partition.size() * sizeof(std::size_t);
     return bytes;
 }
 
@@ -100,21 +113,6 @@ ResultCache::byteEstimate() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return totalBytes_;
-}
-
-std::vector<std::pair<std::uint64_t, CachedResult>>
-ResultCache::exportEntries(std::size_t limit) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::uint64_t, CachedResult>> entries;
-    entries.reserve(limit == 0 ? lru_.size()
-                               : std::min(limit, lru_.size()));
-    for (const Entry &entry : lru_) {
-        if (limit != 0 && entries.size() >= limit)
-            break;
-        entries.emplace_back(entry.fingerprint, entry.result);
-    }
-    return entries;
 }
 
 ResultCache::Stats

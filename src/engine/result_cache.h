@@ -5,10 +5,10 @@
  * The expensive half of a scoring request — SOM training plus the
  * dendrogram — depends only on (features, config, seed), and suite
  * studies re-score the same data under hundreds of config/machine
- * combinations. The cache keeps recently-computed `ScoreReport`s and
- * their `ClusterAnalysis` behind the 64-bit content fingerprint, bounded
- * both by entry count and by an estimate of resident bytes; the least
- * recently used entry is evicted when either bound is exceeded.
+ * combinations. The cache keeps recently-computed `ScoreReport`s
+ * behind the 64-bit content fingerprint, bounded both by entry count
+ * and by an estimate of resident bytes; the least recently used entry
+ * is evicted when either bound is exceeded.
  */
 
 #ifndef HIERMEANS_ENGINE_RESULT_CACHE_H
@@ -20,8 +20,6 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "src/core/pipeline.h"
 #include "src/scoring/score_report.h"
@@ -29,21 +27,27 @@
 namespace hiermeans {
 namespace engine {
 
-/** A cached pipeline result: the report plus the shared analysis. */
+/** A cached pipeline result: the report and its recommended k. */
 struct CachedResult
 {
     scoring::ScoreReport report;
-    /** Shared (immutable) cluster analysis; may be null for
-     *  report-only entries. */
+    /**
+     * The cluster analysis behind the report. The engine never sets it:
+     * its entries, like the ones warm start rebuilds from the WAL, are
+     * report-only. perfbench's traced replay stores its analyses here,
+     * and estimateBytes() counts them.
+     */
     std::shared_ptr<const core::ClusterAnalysis> analysis;
     /** Cluster count of the report's recommended row. */
     std::size_t recommendedK = 0;
 };
 
 /**
- * Rough resident-size estimate of a cached result in bytes (partition
- * labels, report rows, analysis matrices). Used for the byte bound;
- * intentionally an estimate, not an exact accounting.
+ * Resident-size estimate of a cached result in bytes: the report rows
+ * and their partition labels, plus, when an analysis is attached, its
+ * vectors, the trained map (weights and its copy of the training
+ * data), BMUs, grid positions, merges and partitions. Used for the
+ * byte bound; allocator overhead and spare capacity are left out.
  */
 std::size_t estimateBytes(const CachedResult &result);
 
@@ -88,16 +92,6 @@ class ResultCache
 
     /** Remove every entry (counters are preserved). */
     void clear();
-
-    /**
-     * Copies of up to @p limit resident entries, most recently used
-     * first (0 = all). The export half of persistence warm-start:
-     * a serving layer snapshots these (report + recommendedK; the
-     * analysis is not persisted) and re-put()s them after a restart
-     * so the first requests answer hot.
-     */
-    std::vector<std::pair<std::uint64_t, CachedResult>>
-    exportEntries(std::size_t limit = 0) const;
 
     /** Current entry count. */
     std::size_t size() const;

@@ -422,15 +422,11 @@ Server::start()
     suites_.open(config_.store);
     if (suites_.store() != nullptr) {
         warmedEntries_ = suites_.warmStart(engine_);
-        HM_LOG(Info) << "store: cache warmed=" << warmedEntries_;
         declareStoreFamilies(registry_, *suites_.store(), warmedEntries_);
         drift_ = std::make_unique<drift::DriftMonitor>(
             config_.drift, suites_.store());
         declareDriftFamilies(registry_, *drift_);
-        const std::size_t machines = drift_->warmStart();
-        if (machines > 0)
-            HM_LOG(Info) << "drift: restored " << machines
-                         << " suite monitor(s)";
+        drift_->warmStart();
         if (config_.reclusterEverySeconds > 0.0)
             reclusterThread_ = std::thread([this] { reclusterLoop(); });
     }
@@ -467,8 +463,6 @@ Server::beginDrain()
     if (draining_.exchange(true))
         return;
     health_.setDraining(); // /healthz flips to 503 for the drain.
-    HM_LOG(Info) << "drain: started (deadline "
-                 << config_.drainDeadlineMillis << " ms)";
 }
 
 void
@@ -585,7 +579,6 @@ Server::staleOr(const engine::ScoreRequest &request,
     result.cacheHit = true;
     result.fingerprint = fingerprint;
     result.report = std::move(cached->report);
-    result.analysis = std::move(cached->analysis);
     result.recommendedK = cached->recommendedK;
 
     metrics_.staleServed.inc();

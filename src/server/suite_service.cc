@@ -9,7 +9,6 @@
 #include "src/server/json.h"
 #include "src/server/wire_json.h"
 #include "src/util/error.h"
-#include "src/util/log.h"
 #include "src/util/str.h"
 #include "src/wire/wire.h"
 
@@ -143,8 +142,6 @@ SuiteService::open(const store::StateStore::Config &config)
         return recovery_;
     store_ = std::make_unique<store::StateStore>(config);
     recovery_ = store_->open();
-    HM_LOG(Info) << "store: " << config.dataDir << " recovered: "
-                 << store::describeRecovery(recovery_);
     return recovery_;
 }
 

@@ -9,7 +9,6 @@
 #include "src/server/api.h"
 #include "src/util/error.h"
 #include "src/util/fault.h"
-#include "src/util/log.h"
 
 namespace hiermeans {
 namespace server {
@@ -279,10 +278,6 @@ HttpTransport::serveConnection(net::Socket socket)
             if (ctx.trace) {
                 ctx.trace->end(ctx.rootSpan);
                 obs::Tracer::instance().finish(ctx.trace);
-                HM_LOG(Debug)
-                    << "trace=" << ctx.traceId << " "
-                    << request.method << " " << request.path() << " -> "
-                    << response.status << " in " << elapsed << " ms";
             }
             if (stopping_.load() || !request.keepAlive())
                 response.closeConnection = true;

@@ -218,7 +218,7 @@ void
 SelfOrganizingMap::trainToCompletion()
 {
     // One grid-distance table per run, not per step, and not kept in
-    // the map: a trained map is cached with every analysis.
+    // the map: a trained map lives as long as its analysis.
     const std::vector<double> grid_sq = gridDistanceTable(topology_);
     while (stepsDone_ < config_.steps)
         step(grid_sq);

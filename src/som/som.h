@@ -125,6 +125,9 @@ class SelfOrganizingMap
     /** All weights as a unitCount x dim matrix. */
     const linalg::Matrix &weights() const { return weights_; }
 
+    /** The map's own copy of the observations it trains on. */
+    const linalg::Matrix &trainingData() const { return data_; }
+
     /**
      * Best matching unit for @p x: the unit whose weight vector has
      * minimum Euclidean distance to x (ties broken by lowest index,

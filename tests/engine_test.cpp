@@ -1,18 +1,18 @@
 /**
  * @file
  * Tests for engine::ScoringEngine: cache hits return bit-identical
- * reports, identical in-flight requests run the pipeline exactly once,
- * failures and timeouts are isolated per request, and the parallel
- * report builders match their serial twins double-for-double.
+ * reports, the cache holds report-only entries, identical in-flight
+ * requests run the pipeline exactly once, and failures and timeouts
+ * are isolated per request.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <future>
+#include <optional>
 #include <thread>
 
-#include "src/core/characterization.h"
 #include "src/engine/engine.h"
 #include "src/scoring/score_report.h"
 
@@ -93,9 +93,6 @@ TEST(EngineTest, ExecutesARequestEndToEnd)
     EXPECT_FALSE(result.deduped);
     EXPECT_GE(result.report.rows.size(), 3u); // k = 2..4.
     EXPECT_GE(result.recommendedK, 2u);
-    ASSERT_NE(result.analysis, nullptr);
-    EXPECT_EQ(result.analysis->partitions.size(),
-              result.report.rows.size());
 }
 
 TEST(EngineTest, CacheHitReturnsBitIdenticalReport)
@@ -109,13 +106,28 @@ TEST(EngineTest, CacheHitReturnsBitIdenticalReport)
     EXPECT_TRUE(second.cacheHit);
     EXPECT_EQ(second.fingerprint, first.fingerprint);
     expectBitIdentical(first.report, second.report);
-    // The analysis is shared, not recomputed.
-    EXPECT_EQ(second.analysis.get(), first.analysis.get());
 
     const EngineMetrics &counters = engine.metrics();
     EXPECT_EQ(counters.requests.value(), 2u);
     EXPECT_EQ(counters.executions.value(), 1u);
     EXPECT_EQ(counters.cacheHits.value(), 1u);
+}
+
+TEST(EngineTest, CachesReportOnlyEntries)
+{
+    // A result is its report: the miss caches no analysis, and the
+    // byte bound counts exactly the entry it holds.
+    ScoringEngine engine(smallEngineConfig(1));
+    const ScoreResult miss = engine.submit(makeRequest()).get();
+    ASSERT_TRUE(miss.ok) << miss.error;
+
+    const std::optional<CachedResult> entry =
+        engine.cache().get(miss.fingerprint);
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(entry->analysis, nullptr);
+    expectBitIdentical(entry->report, miss.report);
+    EXPECT_EQ(entry->recommendedK, miss.recommendedK);
+    EXPECT_EQ(engine.cache().byteEstimate(), estimateBytes(*entry));
 }
 
 TEST(EngineTest, InFlightDedupeRunsThePipelineOnce)
@@ -165,12 +177,13 @@ TEST(EngineTest, FailuresAreIsolatedPerRequest)
     ScoreRequest good_after = makeRequest(3);
     good_after.id = "good-after";
 
-    std::vector<ScoreRequest> batch;
-    batch.push_back(std::move(good_before));
-    batch.push_back(std::move(bad));
-    batch.push_back(std::move(good_after));
-    const std::vector<ScoreResult> results =
-        engine.runBatch(std::move(batch));
+    std::vector<std::future<ScoreResult>> futures;
+    futures.push_back(engine.submit(std::move(good_before)));
+    futures.push_back(engine.submit(std::move(bad)));
+    futures.push_back(engine.submit(std::move(good_after)));
+    std::vector<ScoreResult> results;
+    for (auto &future : futures)
+        results.push_back(future.get());
 
     ASSERT_EQ(results.size(), 3u);
     EXPECT_EQ(results[0].id, "good-before");
@@ -299,66 +312,6 @@ TEST(EngineTest, IdenticalRequestsAreDeterministicAcrossEngines)
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     expectBitIdentical(a.report, b.report);
     EXPECT_EQ(a.recommendedK, b.recommendedK);
-}
-
-TEST(EngineTest, ParallelScoreReportMatchesSerialBuilder)
-{
-    const ScoreRequest request = makeRequest();
-    const core::CharacteristicVectors vectors = core::characterizeRaw(
-        request.features, request.workloads, request.featureNames);
-    core::PipelineConfig config = request.config;
-    config.som.seed = request.seed;
-    const core::ClusterAnalysis analysis =
-        core::analyzeClusters(vectors, config);
-
-    const scoring::ScoreReport serial = scoring::buildScoreReport(
-        stats::MeanKind::Geometric, request.scoresA, request.scoresB,
-        analysis.partitions);
-
-    ThreadPool pool(4);
-    const scoring::ScoreReport parallel = buildScoreReportParallel(
-        pool, stats::MeanKind::Geometric, request.scoresA,
-        request.scoresB, analysis.partitions);
-    expectBitIdentical(serial, parallel);
-}
-
-TEST(EngineTest, ParallelMultiMachineReportMatchesSerialBuilder)
-{
-    const ScoreRequest request = makeRequest();
-    const core::CharacteristicVectors vectors = core::characterizeRaw(
-        request.features, request.workloads, request.featureNames);
-    core::PipelineConfig config = request.config;
-    config.som.seed = request.seed;
-    const core::ClusterAnalysis analysis =
-        core::analyzeClusters(vectors, config);
-
-    const std::vector<std::vector<double>> machine_scores = {
-        request.scoresA, request.scoresB,
-        {3.0, 1.0, 4.0, 1.5, 9.0, 2.6}};
-    const std::vector<std::string> labels = {"A", "B", "C"};
-
-    const scoring::MultiMachineReport serial =
-        scoring::buildMultiMachineReport(stats::MeanKind::Geometric,
-                                         machine_scores, labels,
-                                         analysis.partitions);
-    ThreadPool pool(3);
-    const scoring::MultiMachineReport parallel =
-        buildMultiMachineReportParallel(pool,
-                                        stats::MeanKind::Geometric,
-                                        machine_scores, labels,
-                                        analysis.partitions);
-
-    ASSERT_EQ(serial.rows.size(), parallel.rows.size());
-    for (std::size_t r = 0; r < serial.rows.size(); ++r) {
-        ASSERT_EQ(serial.rows[r].scores.size(),
-                  parallel.rows[r].scores.size());
-        for (std::size_t m = 0; m < serial.rows[r].scores.size(); ++m) {
-            EXPECT_EQ(serial.rows[r].scores[m],
-                      parallel.rows[r].scores[m]);
-        }
-    }
-    EXPECT_EQ(serial.plainScores, parallel.plainScores);
-    EXPECT_EQ(serial.render(), parallel.render());
 }
 
 TEST(EngineTest, ConcurrentMixedBatchCompletes)

@@ -1,18 +1,22 @@
 /**
  * @file
  * Tests for engine::ResultCache (LRU + byte-bound eviction, MRU
- * promotion, stats) and engine::Fingerprint (requests differing in any
- * config field, seed, data or scores must not collide; identical
- * requests must).
+ * promotion, stats, the byte estimate of an analysis-bearing entry)
+ * and engine::Fingerprint (requests differing in any config field,
+ * seed, data or scores must not collide; identical requests must).
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
+#include "src/core/characterization.h"
 #include "src/engine/engine.h"
 #include "src/engine/fingerprint.h"
 #include "src/engine/result_cache.h"
+#include "src/gen/family.h"
+#include "src/gen/registry.h"
 #include "src/util/error.h"
 
 namespace hiermeans {
@@ -119,6 +123,58 @@ TEST(ResultCacheTest, OverwriteReplacesAndKeepsBoundsConsistent)
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.byteEstimate(), 0u);
+}
+
+std::size_t
+matrixBytes(const linalg::Matrix &matrix)
+{
+    return matrix.rows() * matrix.cols() * sizeof(double);
+}
+
+TEST(ResultCacheTest, EstimateCountsWhatAnAnalysisHolds)
+{
+    // A 160-workload BigData suite: the feature rows, twice (the
+    // analysis's vectors and the map's own training copy), outweigh
+    // everything else the entry holds.
+    gen::FamilyConfig family =
+        gen::defaultConfig(gen::FamilyKind::BigData, 12345);
+    family.workloads = 160;
+    family.clusters = 8;
+    family.machines = 3;
+    const gen::GeneratedSuite suite = gen::generateSuite(family);
+    const core::CharacteristicVectors vectors = core::characterizeRaw(
+        suite.features.values, suite.workloadNames(),
+        suite.features.featureNames);
+    core::PipelineConfig config;
+    config.autoSizeSom(family.workloads);
+    config.som.steps = 200; // keep the test fast.
+    auto analysis = std::make_shared<const core::ClusterAnalysis>(
+        core::analyzeClusters(vectors, config));
+
+    std::vector<double> scores_a;
+    std::vector<double> scores_b;
+    for (std::size_t w = 0; w < family.workloads; ++w) {
+        scores_a.push_back(suite.scores(w, 1));
+        scores_b.push_back(suite.scores(w, 2));
+    }
+    CachedResult entry;
+    entry.report = core::scoreAgainstClusters(
+        *analysis, stats::MeanKind::Geometric, scores_a, scores_b);
+    entry.analysis = analysis;
+
+    // analyzeClusters trains the map on vectors.features.
+    const std::size_t features = matrixBytes(analysis->vectors.features);
+    std::size_t floor = 2 * features +
+                        matrixBytes(analysis->map.weights()) +
+                        matrixBytes(analysis->gridPositions) +
+                        analysis->bmus.size() * sizeof(std::size_t);
+    for (const scoring::Partition &partition : analysis->partitions)
+        floor += partition.size() * sizeof(std::size_t);
+    EXPECT_GE(estimateBytes(entry), floor);
+
+    ResultCache cache;
+    cache.put(1, entry);
+    EXPECT_EQ(cache.byteEstimate(), estimateBytes(entry));
 }
 
 // --- fingerprints -------------------------------------------------------

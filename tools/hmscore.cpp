@@ -13,7 +13,7 @@
  *           [--mean=gm|am|hm] [--kmin=2] [--kmax=8] [--linkage=complete]
  *           [--som-rows=8] [--som-cols=10] [--som-steps=4000]
  *           [--seed=N] [--out-csv=report.csv] [--quiet]
- *           [--all-machines] [--influence] [--threads=N]
+ *           [--all-machines] [--influence]
  *
  * With --all-machines the A/B comparison is replaced by an N-machine
  * hierarchical-mean table over every machine column in scores.csv;
@@ -68,51 +68,9 @@ flagSpec()
         .flag("out-partition", "F",
               "save the recommended partition as the\n"
               "reference cluster distribution")
-        .flag("threads", "N",
-              "compute the k-sweep / --all-machines scoring on\n"
-              "N engine worker threads (default 1 = serial;\n"
-              "results identical)")
         .flag("quiet", "", "print only the score table");
     flags.tracing().standard();
     return flags;
-}
-
-/**
- * A/B k-sweep, serially or fanned out over an engine thread pool when
- * --threads > 1 (bit-identical results either way).
- */
-scoring::ScoreReport
-buildAbReport(std::size_t threads, stats::MeanKind kind,
-              const core::ClusterAnalysis &analysis,
-              const std::vector<double> &scores_a,
-              const std::vector<double> &scores_b)
-{
-    if (threads <= 1)
-        return core::scoreAgainstClusters(analysis, kind, scores_a,
-                                          scores_b);
-    engine::ThreadPool pool(threads);
-    return engine::buildScoreReportParallel(pool, kind, scores_a,
-                                            scores_b,
-                                            analysis.partitions);
-}
-
-/** N-machine counterpart of buildAbReport. */
-scoring::MultiMachineReport
-buildAllMachinesReport(
-    std::size_t threads, stats::MeanKind kind,
-    const std::vector<std::vector<double>> &machine_scores,
-    const std::vector<std::string> &machine_labels,
-    const core::ClusterAnalysis &analysis)
-{
-    if (threads <= 1) {
-        return scoring::buildMultiMachineReport(kind, machine_scores,
-                                                machine_labels,
-                                                analysis.partitions);
-    }
-    engine::ThreadPool pool(threads);
-    return engine::buildMultiMachineReportParallel(
-        pool, kind, machine_scores, machine_labels,
-        analysis.partitions);
 }
 
 int
@@ -196,9 +154,6 @@ run(const util::CommandLine &cl)
         static_cast<std::uint64_t>(cl.getInt("seed", 0x5eed));
     const stats::MeanKind kind =
         stats::parseMeanKind(cl.getString("mean", "gm"));
-    const auto threads =
-        static_cast<std::size_t>(cl.getInt("threads", 1));
-    HM_REQUIRE(threads >= 1, "--threads must be >= 1");
 
     // With --trace armed, the pipeline stages below record spans into
     // a local trace whose tree is printed after the report.
@@ -233,8 +188,9 @@ run(const util::CommandLine &cl)
         for (const std::string &machine : scores.machines)
             machine_scores.push_back(scores.machineScores(machine));
         const scoring::MultiMachineReport report =
-            buildAllMachinesReport(threads, kind, machine_scores,
-                                   scores.machines, analysis);
+            scoring::buildMultiMachineReport(kind, machine_scores,
+                                             scores.machines,
+                                             analysis.partitions);
         std::cout << report.render() << "\n";
         std::cout << (report.rankingStable()
                           ? "machine ranking is stable across every "
@@ -244,8 +200,8 @@ run(const util::CommandLine &cl)
                             "single number.\n");
         recommended_partition = analysis.partitions.front();
     } else {
-        const scoring::ScoreReport report = buildAbReport(
-            threads, kind, analysis, scores_a, scores_b);
+        const scoring::ScoreReport report = core::scoreAgainstClusters(
+            analysis, kind, scores_a, scores_b);
         const auto recommendation =
             core::recommendClusterCount(analysis, report);
         std::cout << report.render(machine_a, machine_b) << "\n";
