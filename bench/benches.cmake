@@ -29,8 +29,6 @@ set(HM_BENCHES
     reference_distribution
     consensus_clustering
     robustness_bootstrap
-    perf_engine_throughput
-    perf_server_throughput
     perf_store_replay)
 
 foreach(bench IN LISTS HM_BENCHES)

@@ -2,7 +2,7 @@
  * @file
  * A small blocking HTTP/1.1 client over the shared codec — the client
  * half of the serving layer, used by `tools/hmload`, the loopback
- * integration tests and `bench/perf_server_throughput`. One client =
+ * integration tests and perfbench's `hmbench`. One client =
  * one connection, kept alive across round trips and transparently
  * reconnected after the server (or a Connection: close) drops it.
  */

@@ -74,7 +74,7 @@
  *     a request already received is always answered.
  *
  * The server is usable fully in-process (port 0 = ephemeral), which is
- * how the integration tests and perf_server_throughput drive it.
+ * how the integration tests and the chaos harness drive it.
  */
 
 #ifndef HIERMEANS_SERVER_SERVER_H

@@ -58,9 +58,15 @@ TEST(ThreadPoolTest, SingleWorkerRunsTasksInSubmissionOrder)
 
 TEST(ThreadPoolTest, PropagatesExceptionsWithoutKillingWorkers)
 {
-    ThreadPool pool(2);
-    auto bad = pool.submit(
-        []() -> int { throw std::runtime_error("task boom"); });
+    // One worker, so the follow-up task runs on the worker that threw.
+    ThreadPool pool(1);
+    // Shared, so this thread holds the failed task's state until the
+    // follow-up has returned. The worker has dropped its reference by
+    // then, and the exception is freed here, on the thread that read
+    // it, in an order ThreadSanitizer can see.
+    const auto bad =
+        pool.submit([]() -> int { throw std::runtime_error("task boom"); })
+            .share();
     EXPECT_THROW(
         {
             try {

@@ -155,13 +155,17 @@ TEST_F(WireHttpTest, BinaryScoreMatchesJsonScoreBitIdentically)
     const std::string jsonData = envelopeData(viaJson.body);
     ASSERT_FALSE(jsonData.empty());
 
-    const Response viaWire = c.roundTrip(
-        "POST", "/v1/score", wire::encodeScoreRequest(line()),
-        wire::kMediaType, {{"Accept", wire::acceptBoth()}});
+    const std::string wireRequest = wire::encodeScoreRequest(line());
+    const Response viaWire =
+        c.roundTrip("POST", "/v1/score", wireRequest, wire::kMediaType,
+                    {{"Accept", wire::acceptBoth()}});
     ASSERT_EQ(viaWire.status, 200);
     EXPECT_TRUE(wire::isWireMediaType(
         viaWire.header("content-type", "")));
     EXPECT_FALSE(viaWire.header("x-hiermeans-source", "").empty());
+    // Binary moves fewer bytes than JSON, request plus response body.
+    EXPECT_LT(wireRequest.size() + viaWire.body.size(),
+              line().size() + viaJson.body.size());
 
     const wire::ScoreDocument doc =
         wire::decodeScoreReport(viaWire.body);
@@ -194,13 +198,17 @@ TEST_F(WireHttpTest, BinaryBatchStreamMatchesNdjsonLineForLine)
             ndjson.push_back(row);
     ASSERT_EQ(ndjson.size(), manifest.size());
 
-    const Response viaWire = c.roundTrip(
-        "POST", "/v1/batch",
-        wire::encodeBatchManifest(manifest), wire::kMediaType,
-        {{"Accept", wire::acceptBoth()}});
+    const std::string wireRequest = wire::encodeBatchManifest(manifest);
+    const Response viaWire =
+        c.roundTrip("POST", "/v1/batch", wireRequest, wire::kMediaType,
+                    {{"Accept", wire::acceptBoth()}});
     ASSERT_EQ(viaWire.status, 200);
     EXPECT_TRUE(wire::isWireMediaType(
         viaWire.header("content-type", "")));
+    // Binary moves fewer bytes than NDJSON for the same lines, request
+    // plus response body.
+    EXPECT_LT(wireRequest.size() + viaWire.body.size(),
+              text.size() + viaJson.body.size());
 
     wire::FrameReader reader(viaWire.body);
     wire::Frame frame;

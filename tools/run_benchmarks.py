@@ -1,58 +1,64 @@
 #!/usr/bin/env python3
-"""One-command perf benches: rebuild Release, pin CPUs, repeat-median.
+"""One benchmark harness: the perfbench workloads, the kernels, the store.
 
-Rebuilds the project into a dedicated Release build tree, pins every
-benchmark process to a fixed CPU set (so background noise and frequency
-migration don't smear the numbers), runs each bench several times, and
-writes one ``BENCH_<name>.json`` file per bench with the median and the
-raw runs — the perf trajectory files that future PRs diff against.
+Runs each bench several times and writes one ``BENCH_<name>.json`` per
+bench, holding every metric's runs, median, quartiles and noise band
+(interquartile range over median). Before overwriting a file it prints
+each fresh median's delta against the committed one.
 
 Benches:
-  score_pipeline    hmscore end-to-end wall time on the example data
-  batch_throughput  hmbatch documents/second over the example manifest
-  serve_rps         hmserved + hmload requests/second and latency
-  overload_shed     goodput at 1x/2x/4x capacity with deadlines
-  wire_format       JSON vs negotiated-binary /v1/score (latency and
-                    bytes per request, via hmload --wire)
-  gen_families      per-family generated suites (hmgen): registration
-                    round trip, hmload --suite score throughput and
-                    drift-detection wall time
+  hit_mix, miss_large  the workloads BENCHMARK.json declares, each run
+                       with its ``command`` (perfbench/run.py) for
+                       ``run_seconds``, seeds 1..--repeats. Every run
+                       must exit 0 with ``correct: true``. Records each
+                       ``end_to_end`` metric, plus the ``*_share``
+                       layer metrics and ``traced.p50_ms`` of one
+                       ``--trace 1`` run on seed 1; ``traced.p50_ms``
+                       minus ``p50_ms`` is the tracing overhead.
+  kernels              perf_microbench (Google Benchmark) with --repeats
+                       repetitions: each benchmark's real time.
+  store_replay         perf_store_replay, --repeats runs: WAL append
+                       cost per fsync cadence and cold-boot replay time.
 
-Before overwriting, the committed baselines in ``--out-dir`` are read
-and a regression table is printed comparing each fresh median to its
-baseline (sign-aware: ``direction`` names which way is better). With
-``--max-regress=PCT`` any bench regressing by more than PCT percent
-fails the run — the CI guard-rail; without it the table is a report.
+The gate: an end-to-end metric whose fresh median is worse than the
+committed one by more than its BENCHMARK.json ``bound``, in the
+direction its ``better`` names, has regressed, and the run exits 1. A
+metric whose fresh band is wider than its bound is reported unresolved
+instead, since its runs cannot tell. Kernel, store and layer deltas are
+printed and never gate.
+
+perfbench builds its own Release tree (see perfbench/README.md); the
+kernel and store benches use the Release tree at --build-dir.
 
 Usage:
-  tools/run_benchmarks.py [--repeats=5] [--duration-s=3]
-                          [--build-dir=build-bench] [--skip-build]
-                          [--out-dir=.] [--only=NAME[,NAME...]]
-                          [--max-regress=PCT]
+  tools/run_benchmarks.py [--repeats=5] [--build-dir=build-bench]
+                          [--skip-build] [--out-dir=.]
+                          [--only=NAME[,NAME...]]
 
 Standard library only; no third-party packages.
 """
 
 import argparse
 import json
+import math
 import os
-import shutil
-import signal
-import socket
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-MANIFEST = os.path.join("examples", "data", "manifest.txt")
-SCORES = os.path.join("examples", "data", "scores.csv")
-FEATURES = os.path.join("examples", "data", "features.csv")
+TOOLS = ("perf_microbench", "perf_store_replay")
 
 
 def log(message):
     print("run_benchmarks: %s" % message, flush=True)
+
+
+def load_spec():
+    """BENCHMARK.json: workloads, command, run length and metric rules."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as stream:
+        return json.load(stream)
 
 
 def pinned_cpus():
@@ -71,21 +77,15 @@ def run(cmd, cpus, **kwargs):
     if cpus is not None:
         def preexec():
             os.sched_setaffinity(0, cpus)
-    return subprocess.run(cmd, preexec_fn=preexec, **kwargs)
-
-
-def popen(cmd, cpus, **kwargs):
-    preexec = None
-    if cpus is not None:
-        def preexec():
-            os.sched_setaffinity(0, cpus)
-    return subprocess.Popen(cmd, preexec_fn=preexec, **kwargs)
+    return subprocess.run(cmd, preexec_fn=preexec, cwd=ROOT, **kwargs)
 
 
 def git_revision():
+    """HEAD's short hash, marked -dirty when tracked files differ."""
     try:
         out = subprocess.run(
-            ["git", "-C", ROOT, "rev-parse", "--short", "HEAD"],
+            ["git", "-C", ROOT, "describe", "--always", "--dirty",
+             "--exclude=*"],
             capture_output=True, text=True, check=True)
         return out.stdout.strip()
     except (subprocess.CalledProcessError, FileNotFoundError):
@@ -96,423 +96,214 @@ def build_release(build_dir, cpus):
     log("configuring Release build in %s" % build_dir)
     run(["cmake", "-B", build_dir, "-S", ROOT,
          "-DCMAKE_BUILD_TYPE=Release"],
-        None, check=True, cwd=ROOT,
-        stdout=subprocess.DEVNULL)
+        None, check=True, stdout=subprocess.DEVNULL)
     jobs = str(len(cpus) if cpus else os.cpu_count() or 2)
     log("building (j%s)" % jobs)
-    run(["cmake", "--build", build_dir, "-j", jobs, "--target",
-         "hmscore", "hmbatch", "hmserved", "hmload", "hmctl", "hmgen"],
-        None, check=True, cwd=ROOT, stdout=subprocess.DEVNULL)
+    run(["cmake", "--build", build_dir, "-j", jobs, "--target", *TOOLS],
+        None, check=True, stdout=subprocess.DEVNULL)
 
 
-def free_port():
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
+def summarize(runs, unit=None):
+    """Median, quartiles (linear between order statistics) and band."""
+    if len(runs) == 1:
+        q1 = median = q3 = runs[0]
+    else:
+        q1, median, q3 = statistics.quantiles(runs, n=4,
+                                              method="inclusive")
+    summary = {"runs": runs, "median": median, "q1": q1, "q3": q3,
+               "band": (q3 - q1) / abs(median) if median else 0.0}
+    if unit:
+        summary["unit"] = unit
+    return summary
 
 
-def wait_http_ok(tool, port, deadline_s=10.0):
-    """Poll hmctl until the daemon on ``port`` answers healthy."""
-    end = time.monotonic() + deadline_s
-    while time.monotonic() < end:
-        probe = subprocess.run(
-            [tool, "--port=%d" % port, "--json-only"],
-            capture_output=True, cwd=ROOT)
-        if probe.returncode == 0:
-            return
-        time.sleep(0.1)
-    raise RuntimeError("daemon on port %d never became healthy" % port)
+def run_perfbench(spec, workload, seed, trace, cpus):
+    """One perfbench run; its metrics, or RuntimeError unless it exited
+    0 with a correct result."""
+    cmd = spec["command"] + ["--workload", workload, "--seed", str(seed),
+                             "--seconds", "%g" % spec["run_seconds"],
+                             "--trace", str(trace)]
+    out = run(cmd, cpus, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if out.returncode != 0 or result.get("correct") is not True:
+        raise RuntimeError("%s seed %d trace %d: exit %d, correct %s\n%s"
+                           % (workload, seed, trace, out.returncode,
+                              result.get("correct"), out.stderr[-2000:]))
+    return result["metrics"]
 
 
-def stop(proc):
-    if proc.poll() is None:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+def bench_workload(spec, workload, cpus, repeats):
+    seeds = list(range(1, repeats + 1))
+    runs = {metric["name"]: [] for metric in spec["end_to_end"]}
+    for seed in seeds:
+        log("  %s seed %d" % (workload, seed))
+        metrics = run_perfbench(spec, workload, seed, 0, cpus)
+        for name, values in runs.items():
+            values.append(metrics[name]["value"])
+    log("  %s seed %d traced" % (workload, seeds[0]))
+    traced = run_perfbench(spec, workload, seeds[0], 1, cpus)
+    layers = [metric["name"] for metric in spec["per_layer"]
+              if metric["name"].endswith("_share")] + ["traced.p50_ms"]
+    return {
+        "metrics": {metric["name"]: summarize(runs[metric["name"]],
+                                              metric["unit"])
+                    for metric in spec["end_to_end"]},
+        "layers": {name: traced[name]["value"] for name in layers},
+        "meta": {"seeds": seeds, "trace_seed": seeds[0],
+                 "run_seconds": spec["run_seconds"]},
+    }
 
 
-def bench_score_pipeline(tools, cpus, args):
-    """hmscore wall seconds, full SOM + clustering pipeline."""
-    runs = []
-    cmd = [tools["hmscore"], "--scores=" + SCORES,
-           "--features=" + FEATURES, "--machine-a=machineX",
-           "--machine-b=machineY",
-           "--som-steps=4000", "--seed=7", "--quiet"]
-    for _ in range(args.repeats):
-        started = time.monotonic()
-        run(cmd, cpus, check=True, cwd=ROOT,
-            stdout=subprocess.DEVNULL)
-        runs.append(time.monotonic() - started)
-    return {"unit": "seconds", "direction": "down", "runs": runs}
+def bench_kernels(tools, cpus, repeats):
+    out = run([tools["perf_microbench"],
+               "--benchmark_repetitions=%d" % repeats,
+               "--benchmark_format=json"],
+              cpus, check=True, capture_output=True, text=True)
+    runs, units = {}, {}
+    for entry in json.loads(out.stdout)["benchmarks"]:
+        if entry["run_type"] == "iteration":
+            runs.setdefault(entry["run_name"], []).append(
+                entry["real_time"])
+            units[entry["run_name"]] = entry["time_unit"]
+    return {"metrics": {name: summarize(values, units[name])
+                        for name, values in runs.items()}}
 
 
-def bench_batch_throughput(tools, cpus, args):
-    """hmbatch documents/second over the example manifest."""
-    lines = 0
-    with open(os.path.join(ROOT, MANIFEST)) as manifest:
-        for text in manifest:
-            text = text.strip()
-            if text and not text.startswith("#"):
-                lines += 1
-    repeat = 10
-    runs = []
-    cmd = [tools["hmbatch"], "--manifest=" + MANIFEST,
-           "--threads=%d" % (len(cpus) if cpus else 2),
-           "--repeat=%d" % repeat]
-    for _ in range(args.repeats):
-        started = time.monotonic()
-        run(cmd, cpus, check=True, cwd=ROOT,
-            stdout=subprocess.DEVNULL)
-        elapsed = time.monotonic() - started
-        runs.append(lines * repeat / elapsed)
-    return {"unit": "docs_per_second", "direction": "up", "runs": runs}
+def bench_store_replay(tools, cpus, repeats):
+    runs = {}
+    for _ in range(repeats):
+        out = run([tools["perf_store_replay"], "--json-only"], cpus,
+                  check=True, capture_output=True, text=True)
+        for name, value in json.loads(
+                out.stdout.splitlines()[-1]).items():
+            if not isinstance(value, str):
+                runs.setdefault(name, []).append(value)
+    return {"metrics": {name: summarize(values)
+                        for name, values in runs.items()}}
 
 
-def load_report(tools, cpus, args, port):
-    """One hmload run; returns its parsed JSON report."""
-    cmd = [tools["hmload"], "--manifest=" + MANIFEST,
-           "--concurrency=2", "--duration-s=%d" % args.duration_s,
-           "--timeout-ms=10000", "--json-only", "--port=%d" % port]
-    out = run(cmd, cpus, check=True, cwd=ROOT, capture_output=True,
-              text=True)
-    return json.loads(out.stdout.splitlines()[-1])
-
-
-def bench_serve_rps(tools, cpus, args):
-    """Single hmserved node: requests/second plus latency tails."""
-    runs, extras = [], []
-    for _ in range(args.repeats):
-        port = free_port()
-        server = popen([tools["hmserved"], "--port=%d" % port,
-                        "--threads=2", "--queue-depth=8"],
-                       cpus, cwd=ROOT, stdout=subprocess.DEVNULL,
-                       stderr=subprocess.DEVNULL)
-        try:
-            wait_http_ok(tools["hmctl"], port)
-            report = load_report(tools, cpus, args, port=port)
-        finally:
-            stop(server)
-        runs.append(report["rps"])
-        extras.append({"p50_ms": report["p50_ms"],
-                       "p95_ms": report["p95_ms"],
-                       "p99_ms": report["p99_ms"]})
-    return {"unit": "requests_per_second", "direction": "up",
-            "runs": runs, "latency": extras}
-
-
-def bench_overload_shed(tools, cpus, args):
-    """Goodput under deadline-aware shedding at 1x/2x/4x capacity.
-
-    One small hmserved (2 engine threads, queue depth 4) is driven by
-    closed-loop hmload at concurrency equal to, twice and four times
-    the admission capacity, every request carrying a 10 s end-to-end
-    deadline. The reported number is goodput (2xx per second) at 4x:
-    with deadline-aware shedding it should stay within ~10% of the 1x
-    capacity instead of collapsing under queueing, and no admitted
-    request should be answered past its deadline (deadline_misses).
-    """
-    depth = 4
-    runs, detail = [], []
-    for _ in range(args.repeats):
-        port = free_port()
-        server = popen([tools["hmserved"], "--port=%d" % port,
-                        "--threads=2", "--queue-depth=%d" % depth,
-                        "--default-deadline=10s"],
-                       cpus, cwd=ROOT, stdout=subprocess.DEVNULL,
-                       stderr=subprocess.DEVNULL)
-        levels = {}
-        try:
-            wait_http_ok(tools["hmctl"], port)
-            for mult in (1, 2, 4):
-                cmd = [tools["hmload"], "--manifest=" + MANIFEST,
-                       "--port=%d" % port,
-                       "--concurrency=%d" % (depth * mult),
-                       "--duration-s=%d" % args.duration_s,
-                       "--deadline-ms=10000", "--timeout-ms=12000",
-                       "--json-only"]
-                out = run(cmd, cpus, check=True, cwd=ROOT,
-                          capture_output=True, text=True)
-                report = json.loads(out.stdout.splitlines()[-1])
-                goodput = (report["http_2xx"] / report["duration_s"]
-                           if report["duration_s"] > 0 else 0.0)
-                levels["%dx" % mult] = {
-                    "goodput_rps": goodput,
-                    "p99_ms": report["p99_ms"],
-                    "p99_9_ms": report.get("p99_9_ms", 0.0),
-                    "shed": report.get("shed", 0),
-                    "server_expired": report.get("server_expired", 0),
-                    "deadline_misses": report.get(
-                        "deadline_misses", 0),
-                }
-        finally:
-            stop(server)
-        runs.append(levels["4x"]["goodput_rps"])
-        detail.append(levels)
-    return {"unit": "goodput_rps", "direction": "up", "runs": runs,
-            "detail": detail}
-
-
-def bench_wire_format(tools, cpus, args):
-    """JSON vs negotiated-binary scoring through hmload --wire.
-
-    One hmserved node is driven twice per repeat with identical load —
-    once forcing JSON (``--wire=json``) and once leading with binary
-    frames (``--wire=binary``, the client default). The reported
-    number is the binary arm's requests/second; ``detail`` keeps both
-    arms' latency percentiles and bytes moved per request, which is
-    where the binary format's advantage is deterministic.
-    """
-    runs, detail = [], []
-    for _ in range(args.repeats):
-        port = free_port()
-        server = popen([tools["hmserved"], "--port=%d" % port,
-                        "--threads=2", "--queue-depth=8"],
-                       cpus, cwd=ROOT, stdout=subprocess.DEVNULL,
-                       stderr=subprocess.DEVNULL)
-        arms = {}
-        try:
-            wait_http_ok(tools["hmctl"], port)
-            for wire in ("json", "binary"):
-                cmd = [tools["hmload"], "--manifest=" + MANIFEST,
-                       "--port=%d" % port, "--concurrency=2",
-                       "--duration-s=%d" % args.duration_s,
-                       "--timeout-ms=10000", "--wire=" + wire,
-                       "--json-only"]
-                out = run(cmd, cpus, check=True, cwd=ROOT,
-                          capture_output=True, text=True)
-                report = json.loads(out.stdout.splitlines()[-1])
-                arms[wire] = {
-                    "rps": report["rps"],
-                    "p50_ms": report["p50_ms"],
-                    "p95_ms": report["p95_ms"],
-                    "p99_ms": report["p99_ms"],
-                    "bytes_per_request":
-                        report.get("request_bytes_per_request", 0.0)
-                        + report.get("response_bytes_per_request",
-                                     0.0),
-                }
-        finally:
-            stop(server)
-        runs.append(arms["binary"]["rps"])
-        detail.append(arms)
-    return {"unit": "binary_rps", "direction": "up", "runs": runs,
-            "detail": detail}
-
-
-def bench_gen_families(tools, cpus, args):
-    """Per-family generated-suite serving with hmgen.
-
-    Every workload family gets its own hmserved node (durable store,
-    16-observation drift window) serving a freshly generated suite.
-    Three numbers per family: the versioned-registration round trip,
-    hmload ``--suite`` score throughput, and the wall time for the
-    family's shifted observation schedule to drive the drift monitor
-    stale (stream + recluster + verdict). The reported number is the
-    mean score throughput across families.
-    """
-    families = ("bigdata", "spec-int-historical",
-                "correlated-cluster", "heavy-tail")
-    runs, detail = [], []
-    for _ in range(args.repeats):
-        per_family = {}
-        for family in families:
-            port = free_port()
-            scratch = tempfile.mkdtemp(prefix="hiermeans_bench_gen_")
-            suite = "bench." + family.replace("-", "_")
-            data = os.path.join(scratch, "data")
-            os.mkdir(data)
-            server = popen([tools["hmserved"], "--port=%d" % port,
-                            "--threads=2", "--queue-depth=8",
-                            "--data-dir=" + data,
-                            "--drift-window=16",
-                            "--drift-min-window=8"],
-                           cpus, cwd=ROOT, stdout=subprocess.DEVNULL,
-                           stderr=subprocess.DEVNULL)
-            try:
-                run([tools["hmgen"], "--family=" + family,
-                     "--name=" + suite, "--out=" + scratch,
-                     "--data-dir=" + scratch],
-                    cpus, check=True, cwd=ROOT,
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL)
-                wait_http_ok(tools["hmctl"], port)
-                started = time.monotonic()
-                run([tools["hmgen"], "--family=" + family,
-                     "--name=" + suite, "--data-dir=" + scratch,
-                     "--register", "--port=%d" % port,
-                     "--suite-version=1"],
-                    cpus, check=True, cwd=ROOT,
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL)
-                register_ms = (time.monotonic() - started) * 1000.0
-                out = run([tools["hmload"], "--port=%d" % port,
-                           "--suite=" + suite, "--concurrency=2",
-                           "--duration-s=%d" % args.duration_s,
-                           "--timeout-ms=10000", "--json-only"],
-                          cpus, check=True, cwd=ROOT,
-                          capture_output=True, text=True)
-                report = json.loads(out.stdout.splitlines()[-1])
-                # Baseline the monitor on the stationary prefix, then
-                # time the shifted suffix through to the stale verdict.
-                run([tools["hmgen"], "--family=" + family,
-                     "--name=" + suite, "--observe-stream",
-                     "--shifted=0", "--port=%d" % port],
-                    cpus, check=True, cwd=ROOT,
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL)
-                run([tools["hmctl"], "--port=%d" % port,
-                     "--recluster=" + suite, "--json-only"],
-                    cpus, cwd=ROOT, stdout=subprocess.DEVNULL)
-                started = time.monotonic()
-                run([tools["hmgen"], "--family=" + family,
-                     "--name=" + suite, "--observe-stream",
-                     "--stationary=0", "--port=%d" % port],
-                    cpus, check=True, cwd=ROOT,
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL)
-                run([tools["hmctl"], "--port=%d" % port,
-                     "--recluster=" + suite, "--json-only"],
-                    cpus, cwd=ROOT, stdout=subprocess.DEVNULL)
-                verdict = run([tools["hmctl"], "--port=%d" % port,
-                               "--drift=" + suite, "--json-only"],
-                              cpus, cwd=ROOT,
-                              stdout=subprocess.DEVNULL)
-                detect_ms = (time.monotonic() - started) * 1000.0
-                per_family[family] = {
-                    "register_ms": register_ms,
-                    "score_rps": report["rps"],
-                    "p95_ms": report["p95_ms"],
-                    "detect_ms": detect_ms,
-                    "stale": verdict.returncode == 2,
-                }
-            finally:
-                stop(server)
-                shutil.rmtree(scratch, ignore_errors=True)
-        detail.append(per_family)
-        runs.append(statistics.fmean(
-            entry["score_rps"] for entry in per_family.values()))
-    return {"unit": "mean_suite_rps", "direction": "up", "runs": runs,
-            "detail": detail}
-
-
-BENCHES = {
-    "score_pipeline": bench_score_pipeline,
-    "batch_throughput": bench_batch_throughput,
-    "serve_rps": bench_serve_rps,
-    "overload_shed": bench_overload_shed,
-    "wire_format": bench_wire_format,
-    "gen_families": bench_gen_families,
-}
-
-
-def load_baselines(out_dir, names):
-    """The committed BENCH_*.json medians, before we overwrite them."""
-    baselines = {}
-    for name in names:
-        path = os.path.join(out_dir, "BENCH_%s.json" % name)
-        try:
-            with open(path) as stream:
-                doc = json.load(stream)
-            baselines[name] = {"median": float(doc["median"]),
-                               "unit": doc.get("unit", ""),
-                               "direction": doc.get("direction", "up"),
-                               "revision": doc.get("meta", {}).get(
-                                   "git_revision", "?")}
-        except (OSError, ValueError, KeyError, TypeError):
-            continue  # no baseline yet: the bench reports as new.
-    return baselines
-
-
-def regression_percent(baseline, result):
-    """Signed regression: positive = worse, in percent of baseline.
-
-    ``direction`` "up" means bigger is better (throughput), "down"
-    means smaller is better (wall time); the sign flip makes the
-    table read the same way for both.
-    """
-    base = baseline["median"]
+def relative_change(base, fresh):
+    """(fresh - base) / |base|, infinite when only base is 0."""
     if base == 0:
-        return 0.0
-    change = (result["median"] - base) / base * 100.0
-    return -change if result["direction"] == "up" else change
+        return 0.0 if fresh == 0 else math.copysign(math.inf, fresh)
+    return (fresh - base) / abs(base)
 
 
-def print_regression_table(baselines, results, max_regress):
-    """The trajectory diff; returns the benches over the threshold."""
-    rows = []
-    regressed = []
-    for name, result in sorted(results.items()):
-        baseline = baselines.get(name)
-        if baseline is None:
-            rows.append((name, "-", "%.4f" % result["median"],
-                         "-", "new baseline"))
-            continue
-        regress = regression_percent(baseline, result)
-        if max_regress is not None and regress > max_regress:
-            verdict = "REGRESSED"
-            regressed.append(name)
-        elif regress > 0:
-            verdict = "worse"
-        else:
-            verdict = "better"
-        rows.append((name, "%.4f" % baseline["median"],
-                     "%.4f" % result["median"],
-                     "%+.1f%%" % regress,
-                     "%s vs %s" % (verdict, baseline["revision"])))
-    header = ("bench", "baseline", "fresh", "regress", "verdict")
-    widths = [max(len(str(row[i])) for row in rows + [header])
+def verdict(base, fresh, rule):
+    """One end-to-end metric against its committed summary, by its
+    BENCHMARK.json rule: "unresolved" when the fresh band is wider than
+    the bound, "REGRESSED" when the median is worse by more than it."""
+    if fresh["band"] > rule["bound"]:
+        return "unresolved"
+    change = relative_change(base["median"], fresh["median"])
+    worse = change if rule["better"] == "lower" else -change
+    return "REGRESSED" if worse > rule["bound"] else "ok"
+
+
+def table_row(bench, metric, base, fresh, band, judged):
+    """One line of the delta table; base is None when nothing is
+    committed."""
+    if base is None:
+        return (bench, metric, "-", "%.6g" % fresh, "-", band, judged)
+    return (bench, metric, "%.6g" % base, "%.6g" % fresh,
+            "%+.1f%%" % (100 * relative_change(base, fresh)), band, judged)
+
+
+def report(results, baselines, spec):
+    """Print every fresh metric's delta against its committed file;
+    returns 1 when an end-to-end metric regressed, else 0."""
+    workloads = {workload["name"] for workload in spec["workloads"]}
+    rules = {metric["name"]: metric for metric in spec["end_to_end"]}
+    rows, regressed = [], []
+    for name, result in results.items():
+        baseline = baselines.get(name) or {}
+        for metric, fresh in result["metrics"].items():
+            base = baseline.get("metrics", {}).get(metric)
+            rule = rules.get(metric) if name in workloads else None
+            judged = "-"
+            if base is None:
+                judged = "new"
+            elif rule:
+                judged = verdict(base, fresh, rule)
+                if judged == "REGRESSED":
+                    regressed.append("%s %s" % (name, metric))
+                judged += " (bound %g%%)" % (100 * rule["bound"])
+            rows.append(table_row(name, metric,
+                            None if base is None else base["median"],
+                            fresh["median"],
+                            "%.1f%%" % (100 * fresh["band"]), judged))
+        for layer, value in result.get("layers", {}).items():
+            rows.append(table_row(name, layer,
+                            baseline.get("layers", {}).get(layer), value,
+                            "-", "traced"))
+    header = ("bench", "metric", "committed", "fresh", "delta", "band",
+              "verdict")
+    widths = [max(len(row[i]) for row in rows + [header])
               for i in range(len(header))]
     for row in [header] + rows:
-        print("  ".join(str(cell).ljust(width)
+        print("  ".join(cell.ljust(width)
                         for cell, width in zip(row, widths)).rstrip())
-    return regressed
+    if regressed:
+        log("regressed beyond their BENCHMARK.json bound: %s"
+            % ", ".join(regressed))
+        return 1
+    return 0
+
+
+def load_baseline(out_dir, name):
+    """The committed BENCH_<name>.json, or None."""
+    try:
+        with open(os.path.join(out_dir, "BENCH_%s.json" % name)) as stream:
+            return json.load(stream)
+    except (OSError, ValueError):
+        return None
 
 
 def main():
     parser = argparse.ArgumentParser(
-        description="rebuild Release, pin CPUs, repeat-median benches")
+        description="run the benches, record BENCH_*.json, gate "
+                    "end-to-end metrics on BENCHMARK.json's bounds")
     parser.add_argument("--repeats", type=int, default=5,
-                        help="runs per bench; the median is reported")
-    parser.add_argument("--duration-s", type=int, default=3,
-                        help="seconds per hmload measurement")
+                        help="perfbench seeds 1..N, kernel repetitions "
+                             "and store runs (default 5)")
     parser.add_argument("--build-dir", default="build-bench",
-                        help="Release build tree (default build-bench)")
+                        help="Release tree for the kernel and store "
+                             "benches (default build-bench)")
     parser.add_argument("--skip-build", action="store_true",
                         help="reuse existing binaries in --build-dir")
     parser.add_argument("--out-dir", default=".",
-                        help="where BENCH_*.json files land")
+                        help="where BENCH_*.json files are read and "
+                             "written")
     parser.add_argument("--only",
                         help="comma-separated bench names to run")
-    parser.add_argument("--max-regress", type=float, default=None,
-                        metavar="PCT",
-                        help="fail when any bench regresses more than "
-                             "PCT percent vs its committed baseline")
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
 
-    selected = list(BENCHES)
+    spec = load_spec()
+    workloads = [workload["name"] for workload in spec["workloads"]]
+    benches = workloads + ["kernels", "store_replay"]
+    selected = benches
     if args.only:
         selected = [name.strip() for name in args.only.split(",")]
-        unknown = [name for name in selected if name not in BENCHES]
+        unknown = [name for name in selected if name not in benches]
         if unknown:
             parser.error("unknown benches: %s (have: %s)"
-                         % (", ".join(unknown), ", ".join(BENCHES)))
+                         % (", ".join(unknown), ", ".join(benches)))
 
     cpus = pinned_cpus()
     log("CPU pin set: %s" % (cpus if cpus else "unavailable"))
-
     build_dir = os.path.join(ROOT, args.build_dir)
-    if not args.skip_build:
-        build_release(build_dir, cpus)
-    tools = {name: os.path.join(build_dir, "tools", name)
-             for name in ("hmscore", "hmbatch", "hmserved", "hmload",
-                          "hmctl", "hmgen")}
-    for name, path in tools.items():
-        if not os.path.exists(path):
-            log("missing binary %s — run without --skip-build" % path)
-            return 1
+    tools = {name: os.path.join(build_dir, "bench", name)
+             for name in TOOLS}
+    if any(name not in workloads for name in selected):
+        if not args.skip_build:
+            build_release(build_dir, cpus)
+        for path in tools.values():
+            if not os.path.exists(path):
+                log("missing binary %s; run without --skip-build" % path)
+                return 1
 
     meta = {
         "git_revision": git_revision(),
@@ -522,37 +313,33 @@ def main():
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     os.makedirs(args.out_dir, exist_ok=True)
-    baselines = load_baselines(args.out_dir, selected)
+    baselines, results = {}, {}
     failures = 0
-    results = {}
     for name in selected:
         log("bench %s (%d runs)" % (name, args.repeats))
         try:
-            result = BENCHES[name](tools, cpus, args)
-        except Exception as error:  # keep the other benches running
+            if name == "kernels":
+                result = bench_kernels(tools, cpus, args.repeats)
+            elif name == "store_replay":
+                result = bench_store_replay(tools, cpus, args.repeats)
+            else:
+                result = bench_workload(spec, name, cpus, args.repeats)
+        except (OSError, RuntimeError, ValueError, KeyError,
+                subprocess.CalledProcessError) as error:
             log("bench %s FAILED: %s" % (name, error))
             failures += 1
             continue
-        result["name"] = name
-        result["median"] = statistics.median(result["runs"])
-        result["meta"] = meta
+        result["bench"] = name
+        result["meta"] = dict(meta, **result.get("meta", {}))
+        baselines[name] = load_baseline(args.out_dir, name)
         results[name] = result
-        out_path = os.path.join(args.out_dir,
-                                "BENCH_%s.json" % name)
+        out_path = os.path.join(args.out_dir, "BENCH_%s.json" % name)
         with open(out_path, "w") as out:
             json.dump(result, out, indent=2, sort_keys=True)
             out.write("\n")
-        log("  median %.4f %s -> %s"
-            % (result["median"], result["unit"], out_path))
-    if results:
-        print()
-        regressed = print_regression_table(baselines, results,
-                                           args.max_regress)
-        if regressed:
-            log("regressions over %.1f%%: %s"
-                % (args.max_regress, ", ".join(regressed)))
-            return 1
-    return 1 if failures else 0
+        log("  -> %s" % out_path)
+    status = report(results, baselines, spec) if results else 0
+    return 1 if failures else status
 
 
 if __name__ == "__main__":
